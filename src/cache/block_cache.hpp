@@ -22,8 +22,9 @@
  *  - flat (default): EvictionSpec selects a built-in policy whose
  *    transitions are inlined switch dispatch — no virtual calls;
  *  - custom: a virtual ReplacementPolicy (OracleRetain, or the
- *    Reference* seed implementations used by the differential suite
- *    and the SIEVE_FLAT_CACHE=OFF build) runs beside the index.
+ *    Reference* seed implementations the differential suites use as
+ *    test oracles) runs beside the index; the index holds residency
+ *    in both modes.
  */
 
 #ifndef SIEVESTORE_CACHE_BLOCK_CACHE_HPP
@@ -104,52 +105,37 @@ class BlockCache
     BlockCache(uint64_t capacity_blocks,
                std::unique_ptr<ReplacementPolicy> policy);
 
-    /** Chunk width of the batched probe paths (== FlatIndex's). */
+    /** Chunk width of probeBatch (== FlatIndex's). */
     static constexpr size_t kProbeBatch = util::FlatIndex<PolicyState>::kBatchChunk;
 
     /** Residency test with no side effects. */
     bool contains(trace::BlockId block) const;
 
     /**
-     * Batched residency test: `hit[i]` = contains(blocks[i]). Runs
-     * the FlatIndex hash-ahead/prefetch kernel; no side effects.
-     */
-    void containsBatch(std::span<const trace::BlockId> blocks,
-                       std::span<bool> hit) const;
-
-    /**
      * Access a block: if resident, notifies the replacement policy (LRU
      * promotion) and returns true; otherwise returns false. One hash
-     * probe in flat mode. Taint sink: cache mutation entry point —
+     * probe. Taint sink: cache mutation entry point —
      * residency state must never depend on measured data (this and
      * every mutator below).
      */
     SIEVE_TAINT_SINK bool access(trace::BlockId block);
 
     /**
-     * Batched access: `hit[i]` = access(blocks[i]), with all probes
-     * resolved through the batched kernel before the policy
-     * transitions run in batch order (transitions touch payloads and
-     * the order book, never the index structure, so the gathered
-     * pointers stay valid — duplicates included). Custom engines fall
-     * back to the scalar loop.
-     */
-    SIEVE_TAINT_SINK void touchBatch(std::span<const trace::BlockId> blocks,
-                                     std::span<bool> hit);
-
-    /**
-     * Probe-gather for the appliance's batched kernel: `st[i]` points
-     * at blocks[i]'s policy state, or nullptr if absent. Flat engines
-     * only (the gathered pointers bypass the custom policy). Pointers
-     * follow the FlatIndex invalidation rule: consume them before any
+     * Probe-gather for the appliance's request loop: `st[i]` points
+     * at blocks[i]'s index slot, or nullptr if absent. Runs the
+     * FlatIndex hash-ahead/prefetch kernel; works on both engines
+     * (the index holds residency either way). Pointers follow the
+     * FlatIndex invalidation rule: consume them before any
      * insert/erase on this cache.
      */
     SIEVE_TAINT_SINK void probeBatch(std::span<const trace::BlockId> blocks,
                                      std::span<PolicyState *> st);
 
     /** Apply the resident-hit policy transition to a gathered state
-     *  (the mutate phase of a probe-gathered hit). The block key is
-     *  needed by the sketch/segment kinds (TinyLfu, ARC). */
+     *  (the mutate phase of a probe-gathered hit): the custom
+     *  policy's onAccess, or the flat transition on the inline state.
+     *  The block key is needed by the custom engine and by the
+     *  sketch/segment kinds (TinyLfu, ARC). */
     SIEVE_TAINT_SINK void touchProbed(trace::BlockId block,
                                       PolicyState &st);
 

@@ -13,8 +13,8 @@
  *
  *  - Reference* classes: the original node-based (std::list +
  *    unordered_map) implementations, retained verbatim as the ground
- *    truth for the differential suite (test_flat_cache_differential)
- *    and selected cache-wide by the SIEVE_FLAT_CACHE=OFF build flag.
+ *    truth for the differential suites (test_flat_cache_differential,
+ *    test_policy_fabric), reached through ApplianceConfig::replacement.
  *  - OracleRetainPolicy: the Section 3.1 oracle, which needs per-day
  *    protected-set state that does not fit a POD slot payload.
  *
@@ -489,8 +489,8 @@ class OracleRetainPolicy : public ReferenceLruPolicy
 };
 
 /**
- * Reference (seed) implementation of a built-in policy, for the
- * differential suite and the SIEVE_FLAT_CACHE=OFF build. The capacity
+ * Reference (seed) implementation of a built-in policy: the test
+ * oracle of the flat-vs-reference differential suites. The capacity
  * sizes the history-driven kinds (ARC's ghost directories, TinyLFU's
  * window/protected split and sketch width); the classic kinds ignore
  * it.

@@ -1,7 +1,6 @@
 #include "core/appliance.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 
 #include "trace/expand.hpp"
@@ -30,41 +29,7 @@ makeCache(const ApplianceConfig &config)
 /** Initial capacity of the in-flight allocation structures. */
 constexpr size_t kPendingReserve = 1024;
 
-bool
-initialBatchKernel()
-{
-#ifdef SIEVE_BATCH_KERNEL_DISABLED
-    return false;
-#else
-    // SIEVE_BATCH_KERNEL=0 pins the scalar per-request path from
-    // process start; any other value — or none — takes the kernel
-    // whenever the flat engines are active.
-    const char *env = std::getenv("SIEVE_BATCH_KERNEL");
-    return env == nullptr || env[0] != '0';
-#endif
-}
-
-bool g_batch_kernel = initialBatchKernel();
-
 } // namespace
-
-bool
-batchKernelEnabled()
-{
-    return g_batch_kernel;
-}
-
-bool
-setBatchKernel(bool enabled)
-{
-#ifdef SIEVE_BATCH_KERNEL_DISABLED
-    (void)enabled;
-    return false;
-#else
-    g_batch_kernel = enabled;
-    return g_batch_kernel;
-#endif
-}
 
 void
 DailyReport::add(const DailyReport &other)
@@ -119,13 +84,7 @@ Appliance::Appliance(ApplianceConfig config)
         if (!policy_)
             util::fatal("appliance allocation factory returned null");
     } else {
-#ifdef SIEVE_REFERENCE_SIEVE
-        // Reference build: run the spec through the virtual seed
-        // policies so the flat engine has something to differ from.
-        policy_ = makeReferenceSievePolicy(cfg.sieve);
-#else
         fsieve_.emplace(cfg.sieve);
-#endif
     }
     initOccupancy();
 }
@@ -385,102 +344,14 @@ Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
     access.server = req.server;
     access.op = req.op;
 
-    // Discrete selectors observe every access in block order; stage
-    // them into request-local chunks and flush through observeBatch so
-    // hash-table-backed selectors get the batched hash-ahead path.
-    constexpr size_t kStage = cache::BlockCache::kProbeBatch;
-    trace::BlockAccess staged[kStage];
-    size_t n_staged = 0;
-    const auto stageObservation = [&](const trace::BlockAccess &a) {
-        staged[n_staged++] = a;
-        if (n_staged == kStage) {
-            selector_->observeBatch(
-                std::span<const trace::BlockAccess>(staged, n_staged));
-            n_staged = 0;
-        }
-    };
-
-    for (uint32_t i = 0; i < req.length_blocks; ++i) {
-        const BlockId block = req.blockAt(i);
-        const uint64_t page = trace::blockNrOf(block) /
-                              trace::kBlocksPerPage;
-        access.block = block;
-        access.completion = trace::interpolatedCompletion(req, i);
-
-        ++rep.accesses;
-        if (is_read)
-            ++rep.read_accesses;
-
-        if (cache_.access(block)) {
-            ++rep.hits;
-            if (is_read)
-                ++rep.read_hits;
-            else
-                ++rep.write_hits;
-            if (page != last_hit_page) {
-                last_hit_page = page;
-                if (is_read) {
-                    ++rep.ssd_read_ios;
-                    stageRead(req.time, block);
-                    if (occupancy_)
-                        occupancy_->recordReads(req.time, 1);
-                } else {
-                    ++rep.ssd_write_ios;
-                    stageWrite(req.time, block);
-                    if (occupancy_)
-                        occupancy_->recordWrites(req.time, 1);
-                }
-            }
-            if (fsieve_)
-                fsieve_->onHit(access);
-            else if (policy_)
-                policy_->onHit(access);
-            if (selector_)
-                stageObservation(access);
-            continue;
-        }
-
-        // Miss. Discrete selectors observe the access (SieveStore-D
-        // logs *accesses*, not misses); continuous policies sieve it.
-        if (selector_) {
-            stageObservation(access);
-            continue;
-        }
-        if (pending.contains(block))
-            continue; // allocation already in flight
-        const AllocDecision decision =
-            fsieve_ ? fsieve_->onMiss(access) : policy_->onMiss(access);
-        if (decision == AllocDecision::Allocate) {
-            notePending(block);
-            const bool new_unit = page != last_alloc_page;
-            last_alloc_page = page;
-            pushAlloc(PendingAlloc{access.completion, block, new_unit});
-        }
-    }
-    if (n_staged != 0)
-        selector_->observeBatch(
-            std::span<const trace::BlockAccess>(staged, n_staged));
-}
-
-void
-Appliance::processRequestProbed(const trace::Request &req,
-                                DailyReport &rep)
-{
-    SIEVE_DCHECK(flatEnginesOnly());
-    const bool is_read = req.op == trace::Op::Read;
-
-    // Page-coalescing state, exactly as in the scalar loop.
-    uint64_t last_hit_page = UINT64_MAX;
-    uint64_t last_alloc_page = UINT64_MAX;
-
-    trace::BlockAccess access;
-    access.time = req.time;
-    access.server = req.server;
-    access.op = req.op;
-
     constexpr size_t kChunk = cache::BlockCache::kProbeBatch;
     BlockId keys[kChunk];
     cache::PolicyState *st[kChunk];
+    // Discrete selectors observe every access in block order; each
+    // chunk's observations are staged here and flushed through
+    // observeBatch so hash-table-backed selectors get the batched
+    // hash-ahead path.
+    trace::BlockAccess staged[kChunk];
 
     for (uint32_t base = 0; base < req.length_blocks;
          base += static_cast<uint32_t>(kChunk)) {
@@ -501,18 +372,19 @@ Appliance::processRequestProbed(const trace::Request &req,
         // consult the pending set and the sieve tiers; start their
         // lines (pending home slot, IMCT slot, MCT home slot) toward
         // L1 before the in-order pass issues its dependent loads.
-        for (uint32_t i = 0; i < n; ++i) {
-            if (st[i] == nullptr) {
-                pending.prefetch(keys[i]);
-                fsieve_->prefetchMiss(keys[i]);
+        if (fsieve_) {
+            for (uint32_t i = 0; i < n; ++i) {
+                if (st[i] == nullptr) {
+                    pending.prefetch(keys[i]);
+                    fsieve_->prefetchMiss(keys[i]);
+                }
             }
         }
 
-        // Phase 3 — decide + mutate, in batch order: bookkeeping
-        // identical to processRequestInto, with the residency probe
-        // already resolved. Policy transitions touch payloads and the
-        // order book, never the index structure, so duplicates simply
-        // retouch the same gathered slot.
+        // Phase 3 — decide + mutate, in block order. Policy
+        // transitions touch payloads and the order book, never the
+        // index structure, so duplicates simply retouch the same
+        // gathered slot.
         for (uint32_t i = 0; i < n; ++i) {
             const BlockId block = keys[i];
             const uint64_t page = trace::blockNrOf(block) /
@@ -537,37 +409,52 @@ Appliance::processRequestProbed(const trace::Request &req,
                     if (is_read) {
                         ++rep.ssd_read_ios;
                         stageRead(req.time, block);
+                        if (occupancy_)
+                            occupancy_->recordReads(req.time, 1);
                     } else {
                         ++rep.ssd_write_ios;
                         stageWrite(req.time, block);
+                        if (occupancy_)
+                            occupancy_->recordWrites(req.time, 1);
                     }
                 }
-                fsieve_->onHit(access);
+                if (fsieve_)
+                    fsieve_->onHit(access);
+                else if (policy_)
+                    policy_->onHit(access);
+                else
+                    staged[i] = access; // discrete selector
                 continue;
             }
 
+            // Miss. Discrete selectors observe the access (SieveStore-D
+            // logs *accesses*, not misses); continuous policies sieve
+            // it.
+            if (selector_) {
+                staged[i] = access;
+                continue;
+            }
             if (pending.contains(block))
                 continue; // allocation already in flight
-            if (fsieve_->onMiss(access) == AllocDecision::Allocate) {
+            const AllocDecision decision =
+                fsieve_ ? fsieve_->onMiss(access) : policy_->onMiss(access);
+            if (decision == AllocDecision::Allocate) {
                 notePending(block);
                 const bool new_unit = page != last_alloc_page;
                 last_alloc_page = page;
-                pushAlloc(
-                    PendingAlloc{access.completion, block, new_unit});
+                pushAlloc(PendingAlloc{access.completion, block, new_unit});
             }
         }
+        if (selector_)
+            selector_->observeBatch(
+                std::span<const trace::BlockAccess>(staged, n));
     }
 }
 
 void
 Appliance::processRequest(const trace::Request &req)
 {
-    // Size the report vector before draining so the reference stays
-    // valid: every drained completion is <= req.time, so the drain's
-    // own reportFor never resizes past this one.
-    DailyReport &rep = reportFor(req.time);
-    drainAllocations(req.time);
-    processRequestInto(req, rep);
+    processBatch(std::span<const trace::Request>(&req, 1));
 }
 
 void
@@ -577,6 +464,9 @@ Appliance::processBatch(std::span<const trace::Request> batch)
         return;
     // One day-report lookup per batch: the sim:: facade slices batches
     // at calendar-day boundaries, so every request lands in one day.
+    // Sizing the report vector before draining keeps the reference
+    // valid: every drained completion is <= the request time, so the
+    // drain's own reportFor never resizes past this one.
     DailyReport &rep = reportFor(batch.front().time);
     SIEVE_DCHECK(util::dayOf(batch.front().time) ==
                      util::dayOf(batch.back().time),
@@ -585,18 +475,9 @@ Appliance::processBatch(std::span<const trace::Request> batch)
     // exemptions are the explicit amortized-growth points (sieve
     // tables, the pending set, the allocation heap).
     SIEVE_ASSERT_NO_ALLOC_WHEN(flatEnginesOnly());
-    if (flatEnginesOnly() && batchKernelEnabled()) {
-        // Batched lookup kernel: same per-request drain cadence as the
-        // scalar loop (bit-identity depends on it — a drain can insert
-        // into the cache, which would invalidate gathered pointers and
-        // flip later probes), with each request's blocks resolved
-        // through the probe-gather -> sieve-prefetch -> decide phases.
-        for (const trace::Request &req : batch) {
-            drainAllocations(req.time);
-            processRequestProbed(req, rep);
-        }
-        return;
-    }
+    // Allocations drain between requests, never inside one: a drain
+    // can insert into the cache, which would invalidate the pointers
+    // processRequestInto gathers and flip its later probes.
     for (const trace::Request &req : batch) {
         drainAllocations(req.time);
         processRequestInto(req, rep);

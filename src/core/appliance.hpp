@@ -69,11 +69,10 @@ struct ApplianceConfig
         replacement;
     /**
      * Built-in continuous sieve for the spec-driven constructor
-     * (defaults to AOD). The flat build runs it through the
-     * switch-dispatch FlatSieve engine; -DSIEVE_FLAT_SIEVE=OFF routes
-     * it to the virtual reference policies instead. Ignored when
-     * `allocation` is set or when a policy/selector is passed
-     * explicitly.
+     * (defaults to AOD), run by the switch-dispatch FlatSieve engine
+     * (the virtual reference policies are reached through
+     * `allocation` instead). Ignored when `allocation` is set or when
+     * a policy/selector is passed explicitly.
      */
     SievePolicySpec sieve;
     /**
@@ -174,25 +173,6 @@ struct DailyReport
 DailyReport sumReports(const std::vector<DailyReport> &days);
 
 /**
- * Runtime switch for the batched FlatIndex lookup kernel inside
- * Appliance::processBatch (probe-gather -> sieve-prefetch -> decide
- * phases). Seeded ON at startup unless the build disables it
- * (-DSIEVE_BATCH_KERNEL=OFF) or the SIEVE_BATCH_SIMD-style environment
- * variable SIEVE_BATCH_KERNEL is "0". The kernel is bit-identical to
- * the scalar path by construction (proven by the batchkernel
- * differential suite), so this toggle exists for differential tests
- * and for benchmarking the scalar floor — not for correctness.
- */
-bool batchKernelEnabled();
-
-/**
- * Force the kernel dispatch (a no-op returning false when the build
- * disabled it). Not thread-safe: set before spawning replay workers.
- * @return the value actually in effect
- */
-bool setBatchKernel(bool enabled);
-
-/**
  * The appliance simulator. Construct with either a continuous
  * AllocationPolicy (SieveStore-C, AOD, WMNA, RandSieve-C) or a
  * DiscreteSelector (SieveStore-D, RandSieve-BlkD, Ideal); drive it with
@@ -205,8 +185,8 @@ class Appliance
     /**
      * Continuous-allocation appliance driven by config.sieve (or the
      * config.allocation factory when set). This is the hot-path
-     * constructor: with the flat build the sieve consultation is
-     * switch dispatch with all policy state held by value.
+     * constructor: the sieve consultation is switch dispatch with all
+     * policy state held by value.
      */
     explicit Appliance(ApplianceConfig config);
 
@@ -224,7 +204,8 @@ class Appliance
      */
     void preload(const std::vector<trace::BlockId> &blocks, int serve_day);
 
-    /** Process one multi-block request (time-ordered). */
+    /** Process one multi-block request (time-ordered): processBatch
+     * over a one-request span. */
     void processRequest(const trace::Request &req);
 
     /**
@@ -297,21 +278,20 @@ class Appliance
   private:
     DailyReport &reportFor(util::TimeUs t);
     void drainAllocations(util::TimeUs up_to);
-    /** Shared per-request hot loop; `rep` is the request's day report. */
-    void processRequestInto(const trace::Request &req, DailyReport &rep);
     /**
-     * Batched-kernel variant of processRequestInto for the flat-engine
-     * configuration: each chunk of <= cache::BlockCache::kProbeBatch
-     * blocks runs probe-gather (one findBatch over the cache index),
-     * then sieve-prefetch (IMCT/MCT/pending lines for the gathered
-     * misses), then an in-order decide+mutate pass with bookkeeping
-     * identical to the scalar loop. Bit-identical by construction:
-     * nothing mutates the cache index within a request (allocations
-     * drain between requests), so the gathered pointers and hit/miss
-     * partition match what N scalar probes would see.
-     * @pre flatEnginesOnly()
+     * The per-request block loop; `rep` is the request's day report.
+     * Every engine combination runs the same three phases over each
+     * chunk of <= cache::BlockCache::kProbeBatch blocks: probe-gather
+     * (one BlockCache::probeBatch resolves the chunk's residency),
+     * sieve-prefetch (IMCT/MCT/pending lines for the gathered misses,
+     * FlatSieve only), then an in-order decide pass that applies the
+     * hit transitions, consults the sieve or stages the selector's
+     * observations, and charges the SSD. Nothing mutates the cache
+     * index within a request (allocations drain between requests),
+     * so the gathered pointers and hit/miss partition match what
+     * per-block probes would see.
      */
-    void processRequestProbed(const trace::Request &req, DailyReport &rep);
+    void processRequestInto(const trace::Request &req, DailyReport &rep);
     /**
      * True when every engine on the request path is flat (spec-driven
      * sieve, flat cache, no discrete selector, no occupancy tracker):
@@ -344,8 +324,8 @@ class Appliance
     void stageBatchMove(util::TimeUs t);
 
     ApplianceConfig cfg;
-    /** Spec-driven sieve engine (flat build; exactly one of these
-     * three allocation mechanisms is active). */
+    /** Spec-driven sieve engine (exactly one of these three
+     * allocation mechanisms is active). */
     std::optional<FlatSieve> fsieve_;
     std::unique_ptr<AllocationPolicy> policy_;
     std::unique_ptr<DiscreteSelector> selector_;

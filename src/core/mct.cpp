@@ -1,7 +1,5 @@
 #include "core/mct.hpp"
 
-#include <algorithm>
-
 #include "util/alloc_guard.hpp"
 #include "util/check.hpp"
 #include "util/footprint.hpp"
@@ -20,24 +18,6 @@ Mct::contains(trace::BlockId block) const
 {
     SIEVE_ASSERT_NO_ALLOC;
     return entries.contains(block);
-}
-
-void
-Mct::containsBatch(std::span<const trace::BlockId> blocks,
-                   std::span<bool> tracked) const
-{
-    SIEVE_DCHECK(tracked.size() >= blocks.size());
-    SIEVE_ASSERT_NO_ALLOC;
-    const WindowedCounter *st[util::FlatIndex<WindowedCounter>::kBatchChunk];
-    constexpr size_t kChunk =
-        util::FlatIndex<WindowedCounter>::kBatchChunk;
-    for (size_t base = 0; base < blocks.size(); base += kChunk) {
-        const size_t n = std::min(kChunk, blocks.size() - base);
-        entries.findBatch(blocks.subspan(base, n),
-                          std::span<const WindowedCounter *>(st, n));
-        for (size_t i = 0; i < n; ++i)
-            tracked[base + i] = st[i] != nullptr;
-    }
 }
 
 void

@@ -17,10 +17,10 @@
  * stateful kinds (SieveStore-C, RandSieve-C) are embedded as value
  * members and consulted through qualified (statically bound) calls
  * into the *same* implementation the virtual engine runs. The virtual
- * hierarchy survives as the reference engine behind
- * -DSIEVE_FLAT_SIEVE=OFF (macro SIEVE_REFERENCE_SIEVE), selected via
- * ApplianceConfig exactly like `replacement`, and the differential
- * suite proves the two engines bit-identical per day and per field.
+ * hierarchy survives as the reference engine — a test oracle selected
+ * via ApplianceConfig::allocation exactly like `replacement` — and the
+ * differential suite proves the two engines bit-identical per day and
+ * per field.
  */
 
 #ifndef SIEVESTORE_CORE_SIEVE_SPEC_HPP
@@ -93,9 +93,9 @@ struct SievePolicySpec
 
 /**
  * The virtual-engine counterpart of a spec: the seed AllocationPolicy
- * implementation making identical decisions. Used by the
- * SIEVE_FLAT_SIEVE=OFF build and pinned explicitly by the
- * flat-vs-reference differential tests.
+ * implementation making identical decisions: the test oracle the
+ * flat-vs-reference differential suites pin through
+ * ApplianceConfig::allocation.
  */
 std::unique_ptr<AllocationPolicy>
 makeReferenceSievePolicy(const SievePolicySpec &spec);

@@ -56,9 +56,9 @@ makeAppliance(const PolicyConfig &policy,
       }
       case PolicyKind::SieveStoreC: {
         // Continuous kinds go through the spec-driven constructor:
-        // the flat build runs them on the switch-dispatch FlatSieve
-        // engine, the SIEVE_FLAT_SIEVE=OFF build (or an explicit
-        // appliance.allocation factory) on the virtual references.
+        // it runs them on the switch-dispatch FlatSieve engine, or an
+        // explicit appliance.allocation factory on the virtual
+        // references.
         core::ApplianceConfig cfg = appliance;
         cfg.sieve.kind = core::SieveKind::SieveStoreC;
         cfg.sieve.sieve_c = policy.sieve_c;

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,9 +45,13 @@ const EvictionKind kAllKinds[] = {EvictionKind::Lru, EvictionKind::Fifo,
 
 /**
  * Drive both engines with an identical random stream of access /
- * insert / erase and require identical observable behavior after
- * every single operation: hit results, eviction victims, residency,
- * and size.
+ * insert / erase / probe-gather bursts and require identical
+ * observable behavior after every single operation: hit results,
+ * eviction victims, residency, and size. The burst is the appliance
+ * request loop's shape — probeBatch over up to kProbeBatch keys
+ * (duplicates included), then touchProbed on the hits in order — so
+ * the custom (reference) engine's probe-gather path is pinned
+ * against the flat one.
  */
 void
 differentialOpStream(EvictionKind kind, uint64_t capacity,
@@ -65,6 +70,32 @@ differentialOpStream(EvictionKind kind, uint64_t capacity,
             const bool f = flat.erase(b);
             const bool r = reference.erase(b);
             ASSERT_EQ(f, r) << label << " erase(" << b << ") op " << op;
+            break;
+          }
+          case 1: { // probe-gather burst, hits touched in order
+            constexpr size_t kMax = BlockCache::kProbeBatch;
+            BlockId keys[kMax];
+            PolicyState *f_st[kMax];
+            PolicyState *r_st[kMax];
+            const size_t n = 1 + rng.nextBelow(kMax);
+            keys[0] = b;
+            for (size_t i = 1; i < n; ++i)
+                keys[i] = rng.nextBool(0.25) ? keys[rng.nextBelow(i)]
+                                             : rng.nextBelow(key_space);
+            flat.probeBatch(std::span<const BlockId>(keys, n),
+                            std::span<PolicyState *>(f_st, n));
+            reference.probeBatch(std::span<const BlockId>(keys, n),
+                                 std::span<PolicyState *>(r_st, n));
+            for (size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(f_st[i] != nullptr, r_st[i] != nullptr)
+                    << label << " probe(" << keys[i] << ") op " << op;
+                ASSERT_EQ(f_st[i] != nullptr, flat.contains(keys[i]))
+                    << label << " probe(" << keys[i] << ") op " << op;
+                if (f_st[i] != nullptr) {
+                    flat.touchProbed(keys[i], *f_st[i]);
+                    reference.touchProbed(keys[i], *r_st[i]);
+                }
+            }
             break;
           }
           default: { // access, insert on miss (the appliance hot path)
@@ -187,9 +218,12 @@ expectReportEq(const DailyReport &flat, const DailyReport &reference,
     EXPECT_EQ(flat.ssd_alloc_ios, reference.ssd_alloc_ios) << where;
 }
 
-/** A multi-day random trace with hot runs and a cold tail. */
+/**
+ * A multi-day random trace with hot runs and a cold tail; requests
+ * span 1..max_blocks blocks.
+ */
 std::vector<trace::Request>
-randomTrace(uint64_t seed, size_t n)
+randomTrace(uint64_t seed, size_t n, uint32_t max_blocks = 32)
 {
     Rng rng(seed);
     std::vector<trace::Request> reqs;
@@ -204,7 +238,8 @@ randomTrace(uint64_t seed, size_t n)
         r.offset_blocks = rng.nextBool(0.5)
                               ? rng.nextBelow(64) * 8
                               : rng.nextBelow(1 << 18);
-        r.length_blocks = 1 + static_cast<uint32_t>(rng.nextBelow(32));
+        r.length_blocks =
+            1 + static_cast<uint32_t>(rng.nextBelow(max_blocks));
         r.latency_us = static_cast<uint32_t>(rng.nextBelow(5000000));
         reqs.push_back(r);
     }
@@ -214,14 +249,16 @@ randomTrace(uint64_t seed, size_t n)
 /**
  * The acceptance matrix: every built-in eviction kind × {AOD, WMNA,
  * SieveStore-C, SieveStore-D}, flat engine vs reference engine, with
- * per-day reports compared field for field.
+ * per-day reports compared field for field. Requests run up to 200
+ * blocks, so the request loop crosses probe-chunk boundaries and
+ * SieveStore-D's staged observations flush across chunks.
  */
 TEST(FlatCacheDifferential, ApplianceReportsMatchAcrossPolicyMatrix)
 {
     const sim::PolicyKind policies[] = {
         sim::PolicyKind::AOD, sim::PolicyKind::WMNA,
         sim::PolicyKind::SieveStoreC, sim::PolicyKind::SieveStoreD};
-    const auto reqs = randomTrace(99, 4000);
+    const auto reqs = randomTrace(99, 4000, 200);
 
     for (const EvictionKind kind : kAllKinds) {
         for (const sim::PolicyKind pk : policies) {
@@ -273,9 +310,9 @@ TEST(FlatCacheDifferential, ApplianceReportsMatchAcrossPolicyMatrix)
  * Same claim, one layer up: the switch-dispatch FlatSieve engine must
  * make bit-identical allocation decisions to the virtual
  * AllocationPolicy hierarchy it devirtualized. The reference engine
- * is requested exactly the way SIEVE_FLAT_SIEVE=OFF builds do — via a
- * factory returning makeReferenceSievePolicy(spec) — so the test
- * exercises both dispatch paths in a single binary.
+ * is requested through the ApplianceConfig::allocation factory
+ * returning makeReferenceSievePolicy(spec), so the test exercises
+ * both dispatch paths in a single binary.
  */
 TEST(FlatSieveDifferential, ApplianceReportsMatchReferenceSieve)
 {
@@ -377,20 +414,20 @@ TEST(FlatSieveDifferential, SieveCAblationsMatchReferenceSieve)
 // ---- batched-kernel differential ----------------------------------
 
 /**
- * The processBatch phase-restructure claim: the batched FlatIndex
- * lookup kernel (probe-gather -> sieve-prefetch -> decide inside
- * processRequestProbed) produces per-day DailyReports bit-identical
- * to the scalar per-request loop, for every probe-loop dispatch
- * (AVX2 on/off), every decode batch size, and every flat engine
- * combination (eviction kind × sieve kind).
+ * The one request loop across engines and dispatches: the all-flat
+ * appliance (flat cache + FlatSieve) produces per-day DailyReports
+ * bit-identical to the all-reference appliance (Reference*
+ * replacement + virtual AllocationPolicy) replayed one request per
+ * batch, for every probe-loop dispatch (AVX2 on/off), every decode
+ * batch size, and every eviction kind × sieve kind. Requests run up
+ * to 200 blocks, so probe-gather chunk boundaries fall mid-request.
  */
 TEST(BatchKernelDifferential, ProcessBatchMatchesScalarAcrossMatrix)
 {
-    const auto reqs = randomTrace(555, 3000);
+    const auto reqs = randomTrace(555, 3000, 200);
     const core::SieveKind sieves[] = {
         core::SieveKind::Aod, core::SieveKind::Wmna,
         core::SieveKind::SieveStoreC, core::SieveKind::RandSieveC};
-    const bool prior_kernel = core::batchKernelEnabled();
     const bool prior_simd = util::batchSimdEnabled();
 
     for (const EvictionKind ek : kAllKinds) {
@@ -404,49 +441,54 @@ TEST(BatchKernelDifferential, ProcessBatchMatchesScalarAcrossMatrix)
             cfg.sieve.rand_seed = 17;
             cfg.sieve.sieve_c.imct_slots = 1 << 12;
 
-            // Baseline: the scalar per-request loop, kernel pinned off.
-            core::setBatchKernel(false);
-            core::Appliance scalar_app(cfg);
-            trace::VectorTrace scalar_trace(reqs);
-            sim::runTrace(scalar_trace, scalar_app);
-            const std::vector<DailyReport> scalar_days =
-                scalar_app.daily();
+            // Baseline: the virtual reference engines at batch 1.
+            core::ApplianceConfig ref_cfg = cfg;
+            ref_cfg.replacement = [spec = cfg.eviction] {
+                return makeReferencePolicy(spec, 512);
+            };
+            ref_cfg.allocation = [spec = cfg.sieve] {
+                return core::makeReferenceSievePolicy(spec);
+            };
+            core::Appliance ref_app(ref_cfg);
+            trace::VectorTrace ref_trace(reqs);
+            sim::DriverOptions ref_options;
+            ref_options.batch = 1;
+            sim::runTrace(ref_trace, ref_app, ref_options);
+            const std::vector<DailyReport> &ref_days = ref_app.daily();
 
             for (const bool simd : {false, true}) {
                 if (simd && !util::batchSimdSupported())
                     continue;
                 for (const size_t batch : {size_t{1}, size_t{8},
                                            size_t{64}}) {
-                    core::setBatchKernel(true);
                     util::setBatchSimd(simd);
-                    core::Appliance kernel_app(cfg);
-                    trace::VectorTrace kernel_trace(reqs);
+                    core::Appliance flat_app(cfg);
+                    trace::VectorTrace flat_trace(reqs);
                     sim::DriverOptions options;
                     options.batch = batch;
-                    sim::runTrace(kernel_trace, kernel_app, options);
+                    sim::runTrace(flat_trace, flat_app, options);
 
                     const std::string label =
                         std::string(evictionKindName(ek)) + " x " +
                         core::sieveKindName(sk) +
                         (simd ? " avx2" : " scalar-probe") +
                         " batch " + std::to_string(batch);
-                    const auto &kd = kernel_app.daily();
-                    ASSERT_EQ(kd.size(), scalar_days.size()) << label;
-                    ASSERT_GE(kd.size(), 2u)
+                    const auto &fd = flat_app.daily();
+                    ASSERT_EQ(fd.size(), ref_days.size()) << label;
+                    ASSERT_GE(fd.size(), 2u)
                         << label << ": trace must span multiple days";
-                    for (size_t d = 0; d < kd.size(); ++d)
-                        expectReportEq(kd[d], scalar_days[d],
+                    for (size_t d = 0; d < fd.size(); ++d)
+                        expectReportEq(fd[d], ref_days[d],
                                        label + " day " +
                                            std::to_string(d));
-                    expectReportEq(kernel_app.totals(),
-                                   scalar_app.totals(),
+                    expectReportEq(flat_app.totals(), ref_app.totals(),
                                    label + " totals");
-                    kernel_app.checkInvariants();
+                    flat_app.checkInvariants();
                 }
             }
+            ref_app.checkInvariants();
         }
     }
-    core::setBatchKernel(prior_kernel);
     util::setBatchSimd(prior_simd);
 }
 

@@ -121,12 +121,10 @@ TEST(Footprint, FlatEngineAtOrBelowReferencePerResidentBlock)
             static_cast<double>(capacity);
         EXPECT_LE(flat_per_block, ref_per_block)
             << evictionKindName(kind);
-#ifndef SIEVE_REFERENCE_CACHE
         // And concretely: at most 2 slots per block (power-of-two
         // growth) x 25 bytes (8 key + 16 policy payload + 1 dib)
         // plus at most 2 x 16-byte order-arena nodes per block.
         EXPECT_LE(flat_per_block, 82.0) << evictionKindName(kind);
-#endif
     }
 }
 

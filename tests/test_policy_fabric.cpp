@@ -273,9 +273,12 @@ expectReportEq(const DailyReport &flat, const DailyReport &reference,
     EXPECT_EQ(flat.tune_switches, reference.tune_switches) << where;
 }
 
-/** A multi-day random trace with hot runs and a cold tail. */
+/**
+ * A multi-day random trace with hot runs and a cold tail; requests
+ * span 1..max_blocks blocks.
+ */
 std::vector<trace::Request>
-randomTrace(uint64_t seed, size_t n)
+randomTrace(uint64_t seed, size_t n, uint32_t max_blocks = 32)
 {
     Rng rng(seed);
     std::vector<trace::Request> reqs;
@@ -290,7 +293,8 @@ randomTrace(uint64_t seed, size_t n)
         r.offset_blocks = rng.nextBool(0.5)
                               ? rng.nextBelow(64) * 8
                               : rng.nextBelow(1 << 18);
-        r.length_blocks = 1 + static_cast<uint32_t>(rng.nextBelow(32));
+        r.length_blocks =
+            1 + static_cast<uint32_t>(rng.nextBelow(max_blocks));
         r.latency_us = static_cast<uint32_t>(rng.nextBelow(5000000));
         reqs.push_back(r);
     }
@@ -300,14 +304,16 @@ randomTrace(uint64_t seed, size_t n)
 /**
  * The fabric acceptance matrix: each new eviction kind × {AOD, WMNA,
  * SieveStore-C, SieveStore-D}, flat engine vs reference engine, with
- * per-day reports compared field for field.
+ * per-day reports compared field for field. Requests run up to 200
+ * blocks, so the request loop crosses probe-chunk boundaries and
+ * SieveStore-D's staged observations flush across chunks.
  */
 TEST(PolicyFabric, ApplianceReportsMatchAcrossPolicyMatrix)
 {
     const sim::PolicyKind policies[] = {
         sim::PolicyKind::AOD, sim::PolicyKind::WMNA,
         sim::PolicyKind::SieveStoreC, sim::PolicyKind::SieveStoreD};
-    const auto reqs = randomTrace(99, 4000);
+    const auto reqs = randomTrace(99, 4000, 200);
 
     for (const EvictionKind kind : kFabricKinds) {
         for (const sim::PolicyKind pk : policies) {
@@ -356,19 +362,20 @@ TEST(PolicyFabric, ApplianceReportsMatchAcrossPolicyMatrix)
 // ---- batched-kernel differential ----------------------------------
 
 /**
- * The fabric kinds inside the batched kernel: probe-gather ->
- * sieve-prefetch -> decide must stay bit-identical to the scalar
- * per-request loop for SIEVE/ARC/TinyLFU (whose hit transitions do
+ * The fabric kinds inside the one request loop: the all-flat
+ * appliance must stay bit-identical to the all-reference appliance
+ * (Reference* replacement + virtual AllocationPolicy) replayed one
+ * request per batch, for SIEVE/ARC/TinyLFU (whose hit transitions do
  * arena surgery, not just payload writes) across AVX2 on/off and
- * decode batch sizes.
+ * decode batch sizes. Requests run up to 200 blocks, so probe-gather
+ * chunk boundaries fall mid-request.
  */
 TEST(PolicyFabric, ProcessBatchMatchesScalarAcrossFabricKinds)
 {
-    const auto reqs = randomTrace(555, 3000);
+    const auto reqs = randomTrace(555, 3000, 200);
     const core::SieveKind sieves[] = {
         core::SieveKind::Aod, core::SieveKind::Wmna,
         core::SieveKind::SieveStoreC, core::SieveKind::RandSieveC};
-    const bool prior_kernel = core::batchKernelEnabled();
     const bool prior_simd = util::batchSimdEnabled();
 
     for (const EvictionKind ek : kFabricKinds) {
@@ -382,49 +389,54 @@ TEST(PolicyFabric, ProcessBatchMatchesScalarAcrossFabricKinds)
             cfg.sieve.rand_seed = 17;
             cfg.sieve.sieve_c.imct_slots = 1 << 12;
 
-            // Baseline: the scalar per-request loop, kernel pinned off.
-            core::setBatchKernel(false);
-            core::Appliance scalar_app(cfg);
-            trace::VectorTrace scalar_trace(reqs);
-            sim::runTrace(scalar_trace, scalar_app);
-            const std::vector<DailyReport> scalar_days =
-                scalar_app.daily();
+            // Baseline: the virtual reference engines at batch 1.
+            core::ApplianceConfig ref_cfg = cfg;
+            ref_cfg.replacement = [spec = cfg.eviction] {
+                return makeReferencePolicy(spec, 512);
+            };
+            ref_cfg.allocation = [spec = cfg.sieve] {
+                return core::makeReferenceSievePolicy(spec);
+            };
+            core::Appliance ref_app(ref_cfg);
+            trace::VectorTrace ref_trace(reqs);
+            sim::DriverOptions ref_options;
+            ref_options.batch = 1;
+            sim::runTrace(ref_trace, ref_app, ref_options);
+            const std::vector<DailyReport> &ref_days = ref_app.daily();
 
             for (const bool simd : {false, true}) {
                 if (simd && !util::batchSimdSupported())
                     continue;
                 for (const size_t batch : {size_t{1}, size_t{8},
                                            size_t{64}}) {
-                    core::setBatchKernel(true);
                     util::setBatchSimd(simd);
-                    core::Appliance kernel_app(cfg);
-                    trace::VectorTrace kernel_trace(reqs);
+                    core::Appliance flat_app(cfg);
+                    trace::VectorTrace flat_trace(reqs);
                     sim::DriverOptions options;
                     options.batch = batch;
-                    sim::runTrace(kernel_trace, kernel_app, options);
+                    sim::runTrace(flat_trace, flat_app, options);
 
                     const std::string label =
                         std::string(evictionKindName(ek)) + " x " +
                         core::sieveKindName(sk) +
                         (simd ? " avx2" : " scalar-probe") +
                         " batch " + std::to_string(batch);
-                    const auto &kd = kernel_app.daily();
-                    ASSERT_EQ(kd.size(), scalar_days.size()) << label;
-                    ASSERT_GE(kd.size(), 2u)
+                    const auto &fd = flat_app.daily();
+                    ASSERT_EQ(fd.size(), ref_days.size()) << label;
+                    ASSERT_GE(fd.size(), 2u)
                         << label << ": trace must span multiple days";
-                    for (size_t d = 0; d < kd.size(); ++d)
-                        expectReportEq(kd[d], scalar_days[d],
+                    for (size_t d = 0; d < fd.size(); ++d)
+                        expectReportEq(fd[d], ref_days[d],
                                        label + " day " +
                                            std::to_string(d));
-                    expectReportEq(kernel_app.totals(),
-                                   scalar_app.totals(),
+                    expectReportEq(flat_app.totals(), ref_app.totals(),
                                    label + " totals");
-                    kernel_app.checkInvariants();
+                    flat_app.checkInvariants();
                 }
             }
+            ref_app.checkInvariants();
         }
     }
-    core::setBatchKernel(prior_kernel);
     util::setBatchSimd(prior_simd);
 }
 
@@ -432,15 +444,12 @@ TEST(PolicyFabric, ProcessBatchMatchesScalarAcrossFabricKinds)
 
 /**
  * The acceptance-bar run: SIEVE/ARC/TinyLFU end-to-end through
- * runShardedParallel at batch=64 with the batch kernel on, against
+ * runShardedParallel at batch=64, against
  * the serial batch=1 golden — ghost state is per-shard and must not
  * leak across the parallel hand-off.
  */
 TEST(PolicyFabric, ShardedParallelBatch64MatchesSerialBatch1)
 {
-    const bool prior_kernel = core::batchKernelEnabled();
-    core::setBatchKernel(true);
-
     for (const EvictionKind kind : kFabricKinds) {
         trace::SyntheticConfig scfg;
         scfg.seed = 0x9a0 + static_cast<uint64_t>(kind);
@@ -483,7 +492,6 @@ TEST(PolicyFabric, ShardedParallelBatch64MatchesSerialBatch1)
         expectReportEq(serial.totals(), parallel.totals(),
                        label + " totals");
     }
-    core::setBatchKernel(prior_kernel);
 }
 
 /**
@@ -495,9 +503,6 @@ TEST(PolicyFabric, ShardedParallelBatch64MatchesSerialBatch1)
  */
 TEST(PolicyFabric, AdaptiveSieveShardedParallelMatchesSerial)
 {
-    const bool prior_kernel = core::batchKernelEnabled();
-    core::setBatchKernel(true);
-
     trace::SyntheticConfig scfg;
     scfg.seed = 0xada;
     scfg.scale = 1.0 / 131072.0;
@@ -545,7 +550,6 @@ TEST(PolicyFabric, AdaptiveSieveShardedParallelMatchesSerial)
         << "no shard ever reported its tuned thresholds";
     expectReportEq(serial.totals(), parallel.totals(),
                    "adaptive totals");
-    core::setBatchKernel(prior_kernel);
 }
 
 } // namespace
