@@ -55,10 +55,11 @@ their call sites, and proves three project claims statically:
                    DailyReport) plus built-in primitives (pread/pwrite
                    and io_uring_* returns, rand/random_device, wall
                    clocks, getenv). Sinks are the decision surfaces
-                   annotated SIEVE_TAINT_SINK (FlatSieve admit paths,
-                   BlockCache mutation arguments, ReplacementPolicy
-                   residency events, the model-side fields of
-                   DailyReport). Taint propagates through assignments,
+                   annotated SIEVE_TAINT_SINK (AllocationPolicy
+                   admit paths, BlockCache mutation arguments,
+                   ReplacementPolicy residency events, the model-side
+                   fields of DailyReport); a sink on a virtual
+                   declaration binds every override. Taint propagates through assignments,
                    call arguments/returns, and member fields, with
                    per-function summaries iterated to a fixpoint;
                    SIEVE_FLOW_SANITIZE (util/flow_annotations.hpp) is

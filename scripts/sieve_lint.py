@@ -88,7 +88,6 @@ AUDIT_CLASSES = (
     "CountMinSketch",
     "FileBackend",
     "FlatIndex",
-    "FlatSieve",
     "GhostCache",
     "Imct",
     "IndexList",

@@ -9,6 +9,11 @@
  * (SieveStore-C) answer Allocate only for blocks whose recent miss
  * history proves popularity, unsieved policies (AOD, WMNA) answer from
  * the request type alone.
+ *
+ * This is the one sieve engine: the appliance consults every
+ * continuous policy — built-in kinds from core::makeSievePolicy and
+ * injected ones alike — through this interface, so a new sieve costs
+ * one subclass plus (for a built-in kind) one factory case.
  */
 
 #ifndef SIEVESTORE_CORE_ALLOC_POLICY_HPP
@@ -17,6 +22,7 @@
 #include <optional>
 
 #include "trace/request.hpp"
+#include "util/flow_annotations.hpp"
 
 namespace sievestore {
 namespace core {
@@ -51,15 +57,39 @@ class AllocationPolicy
   public:
     virtual ~AllocationPolicy() = default;
 
+    // The request-path hooks are sieve-flow taint sinks: admit
+    // decisions and the sieve metastate they read must never see
+    // measured device data (the observe-never-decide storage
+    // contract). The marks sit on the virtual declarations, so every
+    // override inherits the contract.
+
     /**
      * Consulted on every miss.
      * @param access the missed block access
      * @return whether to allocate the block
      */
-    virtual AllocDecision onMiss(const trace::BlockAccess &access) = 0;
+    virtual SIEVE_TAINT_SINK AllocDecision
+    onMiss(const trace::BlockAccess &access) = 0;
+
+    /**
+     * Hint that onMiss for this block is imminent (the appliance's
+     * sieve-prefetch phase issues it for every gathered miss of a
+     * chunk before the in-order decide pass). Pure — no decision or
+     * counter may change. Table-backed sieves pull their lines toward
+     * L1 here; the default ignores the hint.
+     */
+    virtual SIEVE_TAINT_SINK void
+    prefetchMiss(trace::BlockId block) const
+    {
+        (void)block;
+    }
 
     /** Observe a hit (default: ignore). */
-    virtual void onHit(const trace::BlockAccess &access) { (void)access; }
+    virtual SIEVE_TAINT_SINK void
+    onHit(const trace::BlockAccess &access)
+    {
+        (void)access;
+    }
 
     /**
      * Calendar day `day` just closed (Appliance::finishDay). The hook

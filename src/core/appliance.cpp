@@ -77,15 +77,9 @@ Appliance::initOccupancy()
 }
 
 Appliance::Appliance(ApplianceConfig config)
-    : cfg(std::move(config)), cache_(makeCache(cfg))
+    : cfg(std::move(config)), policy_(makeSievePolicy(cfg.sieve)),
+      spec_sieve_(true), cache_(makeCache(cfg))
 {
-    if (cfg.allocation) {
-        policy_ = cfg.allocation();
-        if (!policy_)
-            util::fatal("appliance allocation factory returned null");
-    } else {
-        fsieve_.emplace(cfg.sieve);
-    }
     initOccupancy();
 }
 
@@ -125,7 +119,7 @@ Appliance::reportFor(util::TimeUs t)
 bool
 Appliance::flatEnginesOnly() const
 {
-    return fsieve_.has_value() && !selector_ && !occupancy_ &&
+    return spec_sieve_ && !selector_ && !occupancy_ &&
            cache_.customPolicy() == nullptr;
 }
 
@@ -372,11 +366,11 @@ Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
         // consult the pending set and the sieve tiers; start their
         // lines (pending home slot, IMCT slot, MCT home slot) toward
         // L1 before the in-order pass issues its dependent loads.
-        if (fsieve_) {
+        if (policy_) {
             for (uint32_t i = 0; i < n; ++i) {
                 if (st[i] == nullptr) {
                     pending.prefetch(keys[i]);
-                    fsieve_->prefetchMiss(keys[i]);
+                    policy_->prefetchMiss(keys[i]);
                 }
             }
         }
@@ -418,9 +412,7 @@ Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
                             occupancy_->recordWrites(req.time, 1);
                     }
                 }
-                if (fsieve_)
-                    fsieve_->onHit(access);
-                else if (policy_)
+                if (policy_)
                     policy_->onHit(access);
                 else
                     staged[i] = access; // discrete selector
@@ -436,9 +428,7 @@ Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
             }
             if (pending.contains(block))
                 continue; // allocation already in flight
-            const AllocDecision decision =
-                fsieve_ ? fsieve_->onMiss(access) : policy_->onMiss(access);
-            if (decision == AllocDecision::Allocate) {
+            if (policy_->onMiss(access) == AllocDecision::Allocate) {
                 notePending(block);
                 const bool new_unit = page != last_alloc_page;
                 last_alloc_page = page;
@@ -503,15 +493,10 @@ Appliance::finishDay(int day)
     // switch thresholds here) and record the outcome in the day's
     // tuning columns. Thresholds are model-side data, so the columns
     // stay bit-identical across storage backends and shard layouts.
-    if (fsieve_ || policy_) {
-        const std::optional<SieveTuning> before =
-            fsieve_ ? fsieve_->tuning() : policy_->tuning();
-        if (fsieve_)
-            fsieve_->onDayClose(day);
-        else
-            policy_->onDayClose(day);
-        const std::optional<SieveTuning> after =
-            fsieve_ ? fsieve_->tuning() : policy_->tuning();
+    if (policy_) {
+        const std::optional<SieveTuning> before = policy_->tuning();
+        policy_->onDayClose(day);
+        const std::optional<SieveTuning> after = policy_->tuning();
         if (after && day >= 0) {
             const size_t slot = static_cast<size_t>(day);
             if (slot >= reports.size())
@@ -582,16 +567,12 @@ Appliance::occupancy() const
 const char *
 Appliance::policyName() const
 {
-    if (fsieve_)
-        return fsieve_->name();
     return policy_ ? policy_->name() : selector_->name();
 }
 
 uint64_t
 Appliance::metastateBytes() const
 {
-    if (fsieve_)
-        return fsieve_->metastateBytes();
     return policy_ ? policy_->metastateBytes()
                    : selector_->metastateBytes();
 }
@@ -600,11 +581,8 @@ void
 Appliance::checkInvariants() const
 {
     // Exactly one allocation mechanism.
-    const int engines = (fsieve_.has_value() ? 1 : 0) +
-                        (policy_ ? 1 : 0) + (selector_ ? 1 : 0);
-    SIEVE_CHECK(engines == 1,
-                "appliance must have exactly one of sieve spec / "
-                "policy / selector, has %d", engines);
+    SIEVE_CHECK((policy_ != nullptr) != (selector_ != nullptr),
+                "appliance must have exactly one of policy / selector");
     cache_.checkInvariants();
 
     // Every in-flight allocation is tracked in both structures, and
@@ -669,8 +647,6 @@ Appliance::checkInvariants() const
                         model_w + t.batch_moved_blocks));
     }
 
-    if (fsieve_)
-        fsieve_->checkInvariants();
     if (policy_)
         policy_->checkInvariants();
     if (selector_)

@@ -27,7 +27,6 @@
 #include <climits>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -69,18 +68,10 @@ struct ApplianceConfig
         replacement;
     /**
      * Built-in continuous sieve for the spec-driven constructor
-     * (defaults to AOD), run by the switch-dispatch FlatSieve engine
-     * (the virtual reference policies are reached through
-     * `allocation` instead). Ignored when `allocation` is set or when
-     * a policy/selector is passed explicitly.
+     * (defaults to AOD), built by makeSievePolicy. Ignored when a
+     * policy or selector is passed to the constructor explicitly.
      */
     SievePolicySpec sieve;
-    /**
-     * Custom allocation-policy factory; null selects `sieve` above.
-     * Mirrors `replacement`: the flat-vs-reference differential suite
-     * uses it to pin the virtual engine per appliance.
-     */
-    std::function<std::unique_ptr<AllocationPolicy>()> allocation;
     /**
      * Storage observation engine: every 4 KB I/O unit the analytic
      * model charges is also drained through this backend (analytic
@@ -183,14 +174,16 @@ class Appliance
 {
   public:
     /**
-     * Continuous-allocation appliance driven by config.sieve (or the
-     * config.allocation factory when set). This is the hot-path
-     * constructor: the sieve consultation is switch dispatch with all
-     * policy state held by value.
+     * Continuous-allocation appliance consulting
+     * makeSievePolicy(config.sieve): the production constructor every
+     * built-in continuous policy runs through.
      */
     explicit Appliance(ApplianceConfig config);
 
-    /** Continuous-allocation appliance with an explicit policy. */
+    /**
+     * Continuous-allocation appliance with an explicit policy (the
+     * Section 7 auto-tuner, custom and instrumented test policies).
+     */
     Appliance(ApplianceConfig config,
               std::unique_ptr<AllocationPolicy> policy);
 
@@ -213,9 +206,10 @@ class Appliance
      * calendar day (the sim:: batching facade slices batches at day
      * boundaries). Semantically identical to calling processRequest on
      * each element; the batch form hoists the day-report lookup out of
-     * the per-request path and, when every engine on the path is flat
-     * (spec sieve + flat cache, no selector, no occupancy tracker),
-     * arms SIEVE_ASSERT_NO_ALLOC over the whole batch.
+     * the per-request path and, when the path is the production one
+     * (a sieve built from config.sieve, the flat cache, no selector,
+     * no occupancy tracker), arms SIEVE_ASSERT_NO_ALLOC over the whole
+     * batch.
      */
     void processBatch(std::span<const trace::Request> batch);
 
@@ -283,9 +277,10 @@ class Appliance
      * Every engine combination runs the same three phases over each
      * chunk of <= cache::BlockCache::kProbeBatch blocks: probe-gather
      * (one BlockCache::probeBatch resolves the chunk's residency),
-     * sieve-prefetch (IMCT/MCT/pending lines for the gathered misses,
-     * FlatSieve only), then an in-order decide pass that applies the
-     * hit transitions, consults the sieve or stages the selector's
+     * sieve-prefetch (pending-set lines plus
+     * AllocationPolicy::prefetchMiss for the gathered misses of a
+     * continuous appliance), then an in-order decide pass that applies
+     * the hit transitions, consults the sieve or stages the selector's
      * observations, and charges the SSD. Nothing mutates the cache
      * index within a request (allocations drain between requests),
      * so the gathered pointers and hit/miss partition match what
@@ -293,10 +288,12 @@ class Appliance
      */
     void processRequestInto(const trace::Request &req, DailyReport &rep);
     /**
-     * True when every engine on the request path is flat (spec-driven
-     * sieve, flat cache, no discrete selector, no occupancy tracker):
-     * the configurations whose hot loop is claimed — and then
-     * enforced — to be allocation-free per batch.
+     * True for the production request path: a sieve built from
+     * config.sieve (whose policies are audited allocation-free), the
+     * flat cache, no discrete selector, no occupancy tracker. These
+     * are the configurations whose hot loop is claimed — and then
+     * enforced — to be allocation-free per batch; injected policies
+     * and custom replacement policies make no such promise.
      */
     bool flatEnginesOnly() const;
     void initOccupancy();
@@ -324,10 +321,10 @@ class Appliance
     void stageBatchMove(util::TimeUs t);
 
     ApplianceConfig cfg;
-    /** Spec-driven sieve engine (exactly one of these three
-     * allocation mechanisms is active). */
-    std::optional<FlatSieve> fsieve_;
+    /** Continuous sieve (exactly one of policy_ / selector_ is set). */
     std::unique_ptr<AllocationPolicy> policy_;
+    /** policy_ was built from cfg.sieve by the spec constructor. */
+    bool spec_sieve_ = false;
     std::unique_ptr<DiscreteSelector> selector_;
     cache::BlockCache cache_;
     std::unique_ptr<ssd::DriveOccupancyTracker> occupancy_;

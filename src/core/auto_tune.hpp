@@ -147,7 +147,7 @@ class AdaptiveSievePolicy : public AllocationPolicy
     void onHit(const trace::BlockAccess &access) override;
     /** Forwarded table prefetch (see SieveStoreCPolicy::prefetchMiss);
      * shadows are not prefetched — they are off the latency path. */
-    void prefetchMiss(trace::BlockId block) const;
+    void prefetchMiss(trace::BlockId block) const override;
     const char *name() const override { return "SieveStore-C/adaptive"; }
     uint64_t metastateBytes() const override;
     void onDayClose(int day) override;

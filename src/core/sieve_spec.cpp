@@ -1,40 +1,11 @@
 #include "core/sieve_spec.hpp"
 
+#include "core/rand_sieve.hpp"
 #include "core/unsieved.hpp"
+#include "util/logging.hpp"
 
 namespace sievestore {
 namespace core {
-
-namespace {
-
-/**
- * SieveStore-C state for specs that do not select it: a 1-slot IMCT
- * so the embedded value member costs nothing when inactive.
- */
-SieveStoreCConfig
-inactiveSieveC()
-{
-    SieveStoreCConfig cfg;
-    cfg.imct_slots = 1;
-    return cfg;
-}
-
-/**
- * Adaptive-sieve state for specs that do not select it: 1-slot
- * production and shadow IMCTs and 1-entry ghosts, so the embedded
- * value member costs nothing when inactive.
- */
-AdaptiveSieveConfig
-inactiveAdaptive()
-{
-    AdaptiveSieveConfig cfg;
-    cfg.base = inactiveSieveC();
-    cfg.ghost_budget = 1;
-    cfg.imct_slots = 1;
-    return cfg;
-}
-
-} // namespace
 
 const char *
 sieveKindName(SieveKind kind)
@@ -51,7 +22,7 @@ sieveKindName(SieveKind kind)
 }
 
 std::unique_ptr<AllocationPolicy>
-makeReferenceSievePolicy(const SievePolicySpec &spec)
+makeSievePolicy(const SievePolicySpec &spec)
 {
     switch (spec.kind) {
       case SieveKind::Aod:
@@ -66,52 +37,8 @@ makeReferenceSievePolicy(const SievePolicySpec &spec)
       case SieveKind::Adaptive:
         return std::make_unique<AdaptiveSievePolicy>(spec.adaptive);
     }
-    util::fatal("makeReferenceSievePolicy: unknown sieve kind %d",
+    util::fatal("makeSievePolicy: unknown sieve kind %d",
                 static_cast<int>(spec.kind));
-}
-
-FlatSieve::FlatSieve(const SievePolicySpec &spec)
-    : kind_(spec.kind),
-      sieve_c_(spec.kind == SieveKind::SieveStoreC ? spec.sieve_c
-                                                   : inactiveSieveC()),
-      rand_(spec.rand_probability, spec.rand_seed),
-      adaptive_(spec.kind == SieveKind::Adaptive ? spec.adaptive
-                                                 : inactiveAdaptive())
-{
-}
-
-const char *
-FlatSieve::name() const
-{
-    // SieveStore-C owns its name so the ablation suffixes
-    // ("/imct-only", "/mct-only") stay in one place.
-    if (kind_ == SieveKind::SieveStoreC)
-        return sieve_c_.SieveStoreCPolicy::name();
-    if (kind_ == SieveKind::Adaptive)
-        return adaptive_.AdaptiveSievePolicy::name();
-    return sieveKindName(kind_);
-}
-
-uint64_t
-FlatSieve::metastateBytes() const
-{
-    // AOD/WMNA/RandSieve-C report zero like their reference policies;
-    // the inactive embedded SieveStore-C state must not leak into
-    // cost reports.
-    if (kind_ == SieveKind::SieveStoreC)
-        return sieve_c_.SieveStoreCPolicy::metastateBytes();
-    if (kind_ == SieveKind::Adaptive)
-        return adaptive_.AdaptiveSievePolicy::metastateBytes();
-    return 0;
-}
-
-void
-FlatSieve::checkInvariants() const
-{
-    if (kind_ == SieveKind::SieveStoreC)
-        sieve_c_.SieveStoreCPolicy::checkInvariants();
-    else if (kind_ == SieveKind::Adaptive)
-        adaptive_.AdaptiveSievePolicy::checkInvariants();
 }
 
 } // namespace core

@@ -1,26 +1,16 @@
 /**
  * @file
- * Value-type continuous-sieve engine: switch dispatch over the
- * built-in allocation policies.
+ * Plain-data selection of a built-in continuous sieve, and the one
+ * factory that builds it.
  *
  * The paper's hot loop consults the sieve once per missed block access
- * (Section 3.2). The virtual AllocationPolicy hierarchy models that
- * cleanly but pays an indirect call per miss; after PR 3 flattened the
- * cache side, the sieve consultation became the last indirect branch
- * on the request path. SievePolicySpec names one of the continuous
- * policies (AOD, WMNA, SieveStore-C, RandSieve-C) as plain data —
- * exactly like cache::EvictionSpec names a replacement policy — and
- * FlatSieve executes it with a switch over the kind, holding the
- * policy state by value.
- *
- * Decision parity is by construction, not by reimplementation: the
- * stateful kinds (SieveStore-C, RandSieve-C) are embedded as value
- * members and consulted through qualified (statically bound) calls
- * into the *same* implementation the virtual engine runs. The virtual
- * hierarchy survives as the reference engine — a test oracle selected
- * via ApplianceConfig::allocation exactly like `replacement` — and the
- * differential suite proves the two engines bit-identical per day and
- * per field.
+ * (Section 3.2). SievePolicySpec names one of the continuous policies
+ * (AOD, WMNA, SieveStore-C, RandSieve-C, the adaptive sieve) as plain
+ * data — exactly like cache::EvictionSpec names a replacement policy —
+ * so configs, sweeps and shard layouts can copy it around freely;
+ * makeSievePolicy turns it into the AllocationPolicy the appliance
+ * consults. Adding a built-in sieve is one AllocationPolicy subclass,
+ * one SieveKind, one factory case and one name.
  */
 
 #ifndef SIEVESTORE_CORE_SIEVE_SPEC_HPP
@@ -30,10 +20,7 @@
 
 #include "core/alloc_policy.hpp"
 #include "core/auto_tune.hpp"
-#include "core/rand_sieve.hpp"
 #include "core/sievestore_c.hpp"
-#include "util/flow_annotations.hpp"
-#include "util/logging.hpp"
 
 namespace sievestore {
 namespace core {
@@ -56,19 +43,16 @@ enum class SieveKind : uint8_t {
 };
 
 /**
- * Exhaustiveness anchor for the flat sieve engine: every dispatch
- * switch over SieveKind is written without a default case, so
- * -Wswitch (an error in this tree) flags each switch a new kind has
- * not reached — and this count pins the enum itself.
+ * Exhaustiveness anchor for the built-in sieves: every switch over
+ * SieveKind is written without a default case, so -Wswitch (an error
+ * in this tree) flags each switch a new kind has not reached — and
+ * this count pins the enum itself.
  */
 inline constexpr size_t kSieveKindCount = 5;
 static_assert(static_cast<size_t>(SieveKind::Adaptive) + 1 ==
                   kSieveKindCount,
-              "SieveKind grew: bump kSieveKindCount and wire the new "
-              "kind through every dispatch switch (FlatSieve onMiss / "
-              "onHit / prefetchMiss / onDayClose / name / "
-              "metastateBytes / checkInvariants, "
-              "makeReferenceSievePolicy, sieveKindName)");
+              "SieveKind grew: bump kSieveKindCount and add the new "
+              "kind to makeSievePolicy and sieveKindName");
 
 /** Policy name as used in reports ("AOD", "SieveStore-C", ...). */
 const char *sieveKindName(SieveKind kind);
@@ -92,131 +76,11 @@ struct SievePolicySpec
 };
 
 /**
- * The virtual-engine counterpart of a spec: the seed AllocationPolicy
- * implementation making identical decisions: the test oracle the
- * flat-vs-reference differential suites pin through
- * ApplianceConfig::allocation.
+ * Build the AllocationPolicy a spec selects: the policy
+ * Appliance(ApplianceConfig) consults on every miss.
  */
 std::unique_ptr<AllocationPolicy>
-makeReferenceSievePolicy(const SievePolicySpec &spec);
-
-/**
- * Switch-dispatch executor for a SievePolicySpec. All policy state
- * lives inline (by value), so a sieve consultation is a predictable
- * branch plus a direct call — no vtable load, no pointer chase — and
- * the stateless kinds (AOD, WMNA) fold into the caller entirely.
- */
-class FlatSieve
-{
-  public:
-    explicit FlatSieve(const SievePolicySpec &spec);
-
-    /** Consulted on every miss; see AllocationPolicy::onMiss.
-     * Taint sink: the admit decision must never see measured data. */
-    SIEVE_TAINT_SINK AllocDecision
-    onMiss(const trace::BlockAccess &access)
-    {
-        switch (kind_) {
-          case SieveKind::Aod:
-            return AllocDecision::Allocate;
-          case SieveKind::Wmna:
-            return access.op == trace::Op::Read ? AllocDecision::Allocate
-                                                : AllocDecision::Bypass;
-          case SieveKind::SieveStoreC:
-            // Qualified call: statically bound into the shared
-            // implementation, so the flat engine cannot drift from the
-            // reference policy's decisions.
-            return sieve_c_.SieveStoreCPolicy::onMiss(access);
-          case SieveKind::RandSieveC:
-            return rand_.RandSieveCPolicy::onMiss(access);
-          case SieveKind::Adaptive:
-            return adaptive_.AdaptiveSievePolicy::onMiss(access);
-        }
-        util::fatal("FlatSieve: unknown sieve kind %d",
-                    static_cast<int>(kind_));
-    }
-
-    /**
-     * Hint that onMiss for this block is imminent (the sieve-prefetch
-     * phase of the appliance's batched kernel). Only SieveStore-C has
-     * table state worth pulling toward L1; the other kinds decide from
-     * registers and ignore the hint. Pure — decisions are unchanged.
-     * Taint sink like onMiss: it touches sieve metastate.
-     */
-    SIEVE_TAINT_SINK void
-    prefetchMiss(trace::BlockId block) const
-    {
-        if (kind_ == SieveKind::SieveStoreC)
-            sieve_c_.SieveStoreCPolicy::prefetchMiss(block);
-        else if (kind_ == SieveKind::Adaptive)
-            adaptive_.AdaptiveSievePolicy::prefetchMiss(block);
-    }
-
-    /**
-     * Observe a hit. The adaptive sieve feeds hits to its shadow
-     * candidates (ghost refreshes and captured-access counts); the
-     * other built-in continuous policies keep no hit-side state
-     * (SieveStore-C's windows advance on misses only), so for them
-     * this is a no-op kept for interface symmetry with
-     * AllocationPolicy.
-     */
-    SIEVE_TAINT_SINK void onHit(const trace::BlockAccess &access)
-    {
-        if (kind_ == SieveKind::Adaptive)
-            adaptive_.AdaptiveSievePolicy::onHit(access);
-    }
-
-    /**
-     * Calendar-day close (Appliance::finishDay): the adaptive sieve's
-     * epoch boundary, where shadow scores are compared and the
-     * production thresholds may switch. No-op for the fixed kinds.
-     */
-    void onDayClose(int day)
-    {
-        if (kind_ == SieveKind::Adaptive)
-            adaptive_.AdaptiveSievePolicy::onDayClose(day);
-    }
-
-    /** Self-tuning observability (see AllocationPolicy::tuning). */
-    std::optional<SieveTuning>
-    tuning() const
-    {
-        if (kind_ == SieveKind::Adaptive)
-            return adaptive_.AdaptiveSievePolicy::tuning();
-        return std::nullopt;
-    }
-
-    /** Matches the reference policy's name() for every kind. */
-    const char *name() const;
-
-    /** Metastate footprint; matches the reference policy per kind. */
-    uint64_t metastateBytes() const;
-
-    /**
-     * Audit the active kind's invariants (delegates to the embedded
-     * SieveStore-C state when that kind is selected; the other kinds
-     * are stateless or opaque-RNG and have nothing to audit). Aborts
-     * on violation.
-     */
-    void checkInvariants() const;
-
-    SieveKind kind() const { return kind_; }
-
-    /** Embedded SieveStore-C state (valid when kind()==SieveStoreC). */
-    const SieveStoreCPolicy &sieveC() const { return sieve_c_; }
-
-    /** Embedded adaptive state (valid when kind()==Adaptive). */
-    const AdaptiveSievePolicy &adaptive() const { return adaptive_; }
-
-  private:
-    SieveKind kind_;
-    /** SieveStore-C state; 1-slot IMCT when another kind is active. */
-    SieveStoreCPolicy sieve_c_;
-    RandSieveCPolicy rand_;
-    /** Adaptive-sieve state; 1-slot shadows when another kind is
-     * active. */
-    AdaptiveSievePolicy adaptive_;
-};
+makeSievePolicy(const SievePolicySpec &spec);
 
 } // namespace core
 } // namespace sievestore

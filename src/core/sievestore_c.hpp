@@ -67,7 +67,7 @@ class SieveStoreCPolicy : public AllocationPolicy
      * counter moves — so the appliance's batched miss path can issue
      * it for a whole gathered chunk before the in-order decide phase.
      */
-    void prefetchMiss(trace::BlockId block) const;
+    void prefetchMiss(trace::BlockId block) const override;
 
     const char *name() const override;
 

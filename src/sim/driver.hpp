@@ -6,11 +6,12 @@
  * issuing calendar-day boundaries (epoch boundaries for discrete
  * configurations) exactly as the paper's day-partitioned analysis does.
  *
- * Both drivers (this one and sim/sharded.cpp's runSharded) can audit
- * appliance invariants at every day boundary: opt in per run via
- * DriverOptions, or globally via the SIEVE_CHECK_INVARIANTS=1
- * environment variable. DCHECK-enabled builds (Debug, the sanitizer
- * presets) audit by default.
+ * Every replay driver (runTrace here, sim/sharded.hpp's runSharded
+ * and runShardedParallel, sim/per_server.hpp's runPerServer) can audit
+ * appliance invariants at every day boundary and at end of trace:
+ * opt in per run via DriverOptions (runTrace), or globally via the
+ * SIEVE_CHECK_INVARIANTS=1 environment variable. DCHECK-enabled builds
+ * (Debug, the sanitizer presets) audit by default.
  */
 
 #ifndef SIEVESTORE_SIM_DRIVER_HPP

@@ -55,10 +55,8 @@ makeAppliance(const PolicyConfig &policy,
                                            std::move(selector));
       }
       case PolicyKind::SieveStoreC: {
-        // Continuous kinds go through the spec-driven constructor:
-        // it runs them on the switch-dispatch FlatSieve engine, or an
-        // explicit appliance.allocation factory on the virtual
-        // references.
+        // Continuous kinds go through the spec-driven constructor,
+        // which builds the policy with core::makeSievePolicy.
         core::ApplianceConfig cfg = appliance;
         cfg.sieve.kind = core::SieveKind::SieveStoreC;
         cfg.sieve.sieve_c = policy.sieve_c;

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "sim/batch.hpp"
+#include "sim/driver.hpp"
 #include "util/logging.hpp"
 #include "util/sim_time.hpp"
 
@@ -30,6 +31,8 @@ runPerServer(trace::TraceReader &reader, const PerServerConfig &config)
         appliances.push_back(makeAppliance(pc, ac));
     }
 
+    const bool audit = defaultCheckInvariants();
+
     // Per-server accumulation through the shared batching facade:
     // whole requests route by server, bins flush into processBatch at
     // the same points the per-request loop would have processed them.
@@ -51,8 +54,11 @@ runPerServer(trace::TraceReader &reader, const PerServerConfig &config)
         },
         [&](int day) {
             batcher.flushAll();
-            for (auto &a : appliances)
+            for (auto &a : appliances) {
                 a->finishDay(day);
+                if (audit)
+                    a->checkInvariants();
+            }
         });
     batcher.flushAll();
 
@@ -60,6 +66,8 @@ runPerServer(trace::TraceReader &reader, const PerServerConfig &config)
     result.per_server.resize(n);
     for (size_t s = 0; s < n; ++s) {
         appliances[s]->finishTrace();
+        if (audit)
+            appliances[s]->checkInvariants();
         result.per_server[s] = appliances[s]->daily();
         result.total_capacity_blocks += config.capacities_blocks[s];
         if (result.per_server[s].size() > result.combined.size())

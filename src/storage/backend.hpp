@@ -187,18 +187,12 @@ struct FileBackendConfig
 /** Backend selection carried by core::ApplianceConfig. */
 struct BackendConfig
 {
-#if defined(SIEVE_STORAGE_DEFAULT_FILE)
-    BackendKind kind = BackendKind::File;
-#elif defined(SIEVE_STORAGE_DEFAULT_NONE)
-    BackendKind kind = BackendKind::None;
-#else
     BackendKind kind = BackendKind::Analytic;
-#endif
     FileBackendConfig file;
     /**
      * Custom backend factory; when set it overrides `kind`. Mirrors
-     * ApplianceConfig::replacement/allocation — the fault-injection
-     * tests use it to wrap a real engine in a decorator.
+     * ApplianceConfig::replacement — the fault-injection tests use it
+     * to wrap a real engine in a decorator.
      */
     std::function<std::unique_ptr<Backend>()> factory;
 };

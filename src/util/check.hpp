@@ -33,8 +33,7 @@
  *    allocation-free. Functions whose bodies arm SIEVE_ASSERT_NO_ALLOC
  *    (util/alloc_guard.hpp) are roots implicitly; use the annotation
  *    for hot functions that are *called from* guarded regions and must
- *    stay clean on their own (FlatIndex probes, the SPSC hand-off,
- *    the switch-dispatch policy engines).
+ *    stay clean on their own (FlatIndex probes, the SPSC hand-off).
  *  - SIEVE_MAY_ALLOC marks a deliberate escape hatch: a function that
  *    is reachable from a no-alloc root yet legitimately allocates —
  *    amortized growth that runs before the region arms (pre-reserved

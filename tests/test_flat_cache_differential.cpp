@@ -304,120 +304,12 @@ TEST(FlatCacheDifferential, ApplianceReportsMatchAcrossPolicyMatrix)
     }
 }
 
-// ---- sieve-engine differential ------------------------------------
-
-/**
- * Same claim, one layer up: the switch-dispatch FlatSieve engine must
- * make bit-identical allocation decisions to the virtual
- * AllocationPolicy hierarchy it devirtualized. The reference engine
- * is requested through the ApplianceConfig::allocation factory
- * returning makeReferenceSievePolicy(spec), so the test exercises
- * both dispatch paths in a single binary.
- */
-TEST(FlatSieveDifferential, ApplianceReportsMatchReferenceSieve)
-{
-    const auto reqs = randomTrace(123, 4000);
-    const core::SieveKind kinds[] = {
-        core::SieveKind::Aod, core::SieveKind::Wmna,
-        core::SieveKind::SieveStoreC, core::SieveKind::RandSieveC};
-
-    for (const core::SieveKind k : kinds) {
-        core::SievePolicySpec spec;
-        spec.kind = k;
-        spec.rand_probability = 0.05;
-        spec.rand_seed = 17;
-        spec.sieve_c.imct_slots = 1 << 12;
-
-        core::ApplianceConfig flat_cfg;
-        flat_cfg.cache_blocks = 512;
-        flat_cfg.track_occupancy = false;
-        flat_cfg.sieve = spec;
-        core::ApplianceConfig ref_cfg = flat_cfg;
-        ref_cfg.allocation = [spec] {
-            return core::makeReferenceSievePolicy(spec);
-        };
-
-        core::Appliance flat_app(flat_cfg);
-        core::Appliance ref_app(ref_cfg);
-        const std::string label = core::sieveKindName(k);
-        EXPECT_STREQ(flat_app.policyName(), ref_app.policyName())
-            << label;
-        EXPECT_EQ(flat_app.metastateBytes(), ref_app.metastateBytes())
-            << label;
-
-        trace::VectorTrace flat_trace(reqs);
-        sim::runTrace(flat_trace, flat_app);
-        trace::VectorTrace ref_trace(reqs);
-        sim::runTrace(ref_trace, ref_app);
-
-        const auto &fd = flat_app.daily();
-        const auto &rd = ref_app.daily();
-        ASSERT_EQ(fd.size(), rd.size()) << label;
-        ASSERT_GE(fd.size(), 2u)
-            << label << ": trace must span multiple days";
-        for (size_t d = 0; d < fd.size(); ++d)
-            expectReportEq(fd[d], rd[d],
-                           label + " day " + std::to_string(d));
-        flat_app.checkInvariants();
-        ref_app.checkInvariants();
-    }
-}
-
-/**
- * SieveStore-C ablations flow through the spec into the embedded
- * engine: decisions and the ablation-suffixed policy name must match
- * the reference construction.
- */
-TEST(FlatSieveDifferential, SieveCAblationsMatchReferenceSieve)
-{
-    const auto reqs = randomTrace(321, 2500);
-    core::SieveStoreCConfig ablations[3];
-    for (auto &c : ablations)
-        c.imct_slots = 1 << 12;
-    ablations[0].imct_slots = 1 << 8; // tiny IMCT: heavy aliasing
-    ablations[1].mct_only = true;
-    ablations[2].imct_only = true;
-
-    for (size_t a = 0; a < 3; ++a) {
-        core::ApplianceConfig flat_cfg;
-        flat_cfg.cache_blocks = 256;
-        flat_cfg.sieve.kind = core::SieveKind::SieveStoreC;
-        flat_cfg.sieve.sieve_c = ablations[a];
-        core::ApplianceConfig ref_cfg = flat_cfg;
-        const core::SievePolicySpec spec = flat_cfg.sieve;
-        ref_cfg.allocation = [spec] {
-            return core::makeReferenceSievePolicy(spec);
-        };
-
-        core::Appliance flat_app(flat_cfg);
-        core::Appliance ref_app(ref_cfg);
-        const std::string label =
-            "ablation " + std::to_string(a) + " (" +
-            flat_app.policyName() + ")";
-        EXPECT_STREQ(flat_app.policyName(), ref_app.policyName())
-            << label;
-
-        trace::VectorTrace flat_trace(reqs);
-        sim::runTrace(flat_trace, flat_app);
-        trace::VectorTrace ref_trace(reqs);
-        sim::runTrace(ref_trace, ref_app);
-
-        const auto &fd = flat_app.daily();
-        const auto &rd = ref_app.daily();
-        ASSERT_EQ(fd.size(), rd.size()) << label;
-        for (size_t d = 0; d < fd.size(); ++d)
-            expectReportEq(fd[d], rd[d],
-                           label + " day " + std::to_string(d));
-    }
-}
-
 // ---- batched-kernel differential ----------------------------------
 
 /**
- * The one request loop across engines and dispatches: the all-flat
- * appliance (flat cache + FlatSieve) produces per-day DailyReports
- * bit-identical to the all-reference appliance (Reference*
- * replacement + virtual AllocationPolicy) replayed one request per
+ * The one request loop across cache engines and dispatches: the
+ * flat-cache appliance produces per-day DailyReports bit-identical to
+ * the Reference*-replacement appliance replayed one request per
  * batch, for every probe-loop dispatch (AVX2 on/off), every decode
  * batch size, and every eviction kind × sieve kind. Requests run up
  * to 200 blocks, so probe-gather chunk boundaries fall mid-request.
@@ -441,13 +333,10 @@ TEST(BatchKernelDifferential, ProcessBatchMatchesScalarAcrossMatrix)
             cfg.sieve.rand_seed = 17;
             cfg.sieve.sieve_c.imct_slots = 1 << 12;
 
-            // Baseline: the virtual reference engines at batch 1.
+            // Baseline: the Reference* replacement engine at batch 1.
             core::ApplianceConfig ref_cfg = cfg;
             ref_cfg.replacement = [spec = cfg.eviction] {
                 return makeReferencePolicy(spec, 512);
-            };
-            ref_cfg.allocation = [spec = cfg.sieve] {
-                return core::makeReferenceSievePolicy(spec);
             };
             core::Appliance ref_app(ref_cfg);
             trace::VectorTrace ref_trace(reqs);

@@ -362,10 +362,9 @@ TEST(PolicyFabric, ApplianceReportsMatchAcrossPolicyMatrix)
 // ---- batched-kernel differential ----------------------------------
 
 /**
- * The fabric kinds inside the one request loop: the all-flat
- * appliance must stay bit-identical to the all-reference appliance
- * (Reference* replacement + virtual AllocationPolicy) replayed one
- * request per batch, for SIEVE/ARC/TinyLFU (whose hit transitions do
+ * The fabric kinds inside the one request loop: the flat-cache
+ * appliance must stay bit-identical to the Reference*-replacement
+ * appliance replayed one request per batch, for SIEVE/ARC/TinyLFU (whose hit transitions do
  * arena surgery, not just payload writes) across AVX2 on/off and
  * decode batch sizes. Requests run up to 200 blocks, so probe-gather
  * chunk boundaries fall mid-request.
@@ -389,13 +388,10 @@ TEST(PolicyFabric, ProcessBatchMatchesScalarAcrossFabricKinds)
             cfg.sieve.rand_seed = 17;
             cfg.sieve.sieve_c.imct_slots = 1 << 12;
 
-            // Baseline: the virtual reference engines at batch 1.
+            // Baseline: the Reference* replacement engine at batch 1.
             core::ApplianceConfig ref_cfg = cfg;
             ref_cfg.replacement = [spec = cfg.eviction] {
                 return makeReferencePolicy(spec, 512);
-            };
-            ref_cfg.allocation = [spec = cfg.sieve] {
-                return core::makeReferenceSievePolicy(spec);
             };
             core::Appliance ref_app(ref_cfg);
             trace::VectorTrace ref_trace(reqs);

@@ -1,18 +1,20 @@
 /**
  * @file
- * Unit tests for the spec-driven sieve engine (core/sieve_spec.hpp):
- * the FlatSieve switch-dispatch engine must agree decision-for-
- * decision with the virtual AllocationPolicy reference it
- * devirtualized, for every continuous kind, on long randomized access
- * streams. Appliance-level report equality is covered separately by
- * test_flat_cache_differential.cpp; these tests pin the engine itself.
+ * Unit tests for the spec-driven sieve factory (core/sieve_spec.hpp)
+ * and for how the appliance's request loop consults an
+ * AllocationPolicy: every gathered miss of a chunk is prefetched
+ * before the in-order decide pass reaches it, for built-in and
+ * injected policies alike.
  */
 
 #include <gtest/gtest.h>
 
-#include <iterator>
-#include <string>
+#include <algorithm>
+#include <memory>
+#include <ostream>
+#include <vector>
 
+#include "core/appliance.hpp"
 #include "core/sieve_spec.hpp"
 #include "util/random.hpp"
 #include "util/sim_time.hpp"
@@ -21,31 +23,16 @@ namespace {
 
 using namespace sievestore;
 using core::AllocDecision;
-using core::FlatSieve;
 using core::SieveKind;
 using core::SievePolicySpec;
 using util::Rng;
-
-const SieveKind kAllSieveKinds[] = {SieveKind::Aod, SieveKind::Wmna,
-                                    SieveKind::SieveStoreC,
-                                    SieveKind::RandSieveC,
-                                    SieveKind::Adaptive};
-// The matrix below must widen whenever the enum does — the same
-// tripwire as the dispatch-switch guard in core/sieve_spec.hpp.
-static_assert(std::size(kAllSieveKinds) == core::kSieveKindCount,
-              "add the new SieveKind to kAllSieveKinds");
 
 SievePolicySpec
 specFor(SieveKind kind)
 {
     SievePolicySpec spec;
     spec.kind = kind;
-    spec.rand_probability = 0.03;
-    spec.rand_seed = 11;
     spec.sieve_c.imct_slots = 1 << 12;
-    spec.adaptive.base = spec.sieve_c;
-    spec.adaptive.imct_slots = 1 << 10;
-    spec.adaptive.ghost_budget = 512;
     return spec;
 }
 
@@ -61,77 +48,19 @@ randomAccess(Rng &rng, uint64_t t)
     return a;
 }
 
-// ---- decision parity ----------------------------------------------
-
-/**
- * Drive FlatSieve and the reference policy with an identical stream
- * of onMiss/onHit calls spanning several simulated days and require
- * the same AllocDecision on every miss.
- */
-TEST(SieveSpec, FlatSieveMatchesReferenceDecisionForDecision)
-{
-    for (const SieveKind kind : kAllSieveKinds) {
-        const SievePolicySpec spec = specFor(kind);
-        FlatSieve flat(spec);
-        auto reference = core::makeReferenceSievePolicy(spec);
-        const std::string label = core::sieveKindName(kind);
-
-        Rng rng(7 + static_cast<uint64_t>(kind));
-        uint64_t t = 0;
-        for (int op = 0; op < 200000; ++op) {
-            t += rng.nextBelow(4000000); // ~3 simulated days total
-            const trace::BlockAccess a = randomAccess(rng, t);
-            if (rng.nextBool(0.25)) {
-                flat.onHit(a);
-                reference->onHit(a);
-            } else {
-                const AllocDecision f = flat.onMiss(a);
-                const AllocDecision r = reference->onMiss(a);
-                ASSERT_EQ(f, r) << label << " op " << op << " block "
-                                << a.block;
-            }
-        }
-        flat.checkInvariants();
-    }
-}
-
 // ---- identity plumbing --------------------------------------------
-
-TEST(SieveSpec, NamesMatchReferenceEngine)
-{
-    for (const SieveKind kind : kAllSieveKinds) {
-        const SievePolicySpec spec = specFor(kind);
-        FlatSieve flat(spec);
-        auto reference = core::makeReferenceSievePolicy(spec);
-        EXPECT_STREQ(flat.name(), reference->name());
-        EXPECT_EQ(flat.kind(), kind);
-    }
-}
 
 TEST(SieveSpec, SieveCAblationNamesFlowThroughSpec)
 {
     SievePolicySpec spec = specFor(SieveKind::SieveStoreC);
     spec.sieve_c.mct_only = true;
-    FlatSieve mct_only(spec);
-    auto mct_ref = core::makeReferenceSievePolicy(spec);
-    EXPECT_STREQ(mct_only.name(), mct_ref->name());
+    EXPECT_STREQ(core::makeSievePolicy(spec)->name(),
+                 "SieveStore-C/mct-only");
 
     spec.sieve_c.mct_only = false;
     spec.sieve_c.imct_only = true;
-    FlatSieve imct_only(spec);
-    auto imct_ref = core::makeReferenceSievePolicy(spec);
-    EXPECT_STREQ(imct_only.name(), imct_ref->name());
-}
-
-TEST(SieveSpec, MetastateMatchesReferenceEngine)
-{
-    for (const SieveKind kind : kAllSieveKinds) {
-        const SievePolicySpec spec = specFor(kind);
-        FlatSieve flat(spec);
-        auto reference = core::makeReferenceSievePolicy(spec);
-        EXPECT_EQ(flat.metastateBytes(), reference->metastateBytes())
-            << core::sieveKindName(kind);
-    }
+    EXPECT_STREQ(core::makeSievePolicy(spec)->name(),
+                 "SieveStore-C/imct-only");
 }
 
 TEST(SieveSpec, KindNamesAreStable)
@@ -150,18 +79,154 @@ TEST(SieveSpec, KindNamesAreStable)
 
 TEST(SieveSpec, AodAllocatesEveryMissWmnaOnlyReads)
 {
-    FlatSieve aod(specFor(SieveKind::Aod));
-    FlatSieve wmna(specFor(SieveKind::Wmna));
+    auto aod = core::makeSievePolicy(specFor(SieveKind::Aod));
+    auto wmna = core::makeSievePolicy(specFor(SieveKind::Wmna));
     Rng rng(3);
     uint64_t t = 0;
     for (int op = 0; op < 1000; ++op) {
         t += rng.nextBelow(1000000);
         const trace::BlockAccess a = randomAccess(rng, t);
-        EXPECT_EQ(aod.onMiss(a), AllocDecision::Allocate);
-        EXPECT_EQ(wmna.onMiss(a), a.op == trace::Op::Read
-                                      ? AllocDecision::Allocate
-                                      : AllocDecision::Bypass);
+        EXPECT_EQ(aod->onMiss(a), AllocDecision::Allocate);
+        EXPECT_EQ(wmna->onMiss(a), a.op == trace::Op::Read
+                                       ? AllocDecision::Allocate
+                                       : AllocDecision::Bypass);
     }
+}
+
+// ---- request-loop consultation order ------------------------------
+
+/** One policy callback, as the recording policy saw it. */
+struct PolicyEvent
+{
+    char kind; ///< 'P' prefetchMiss, 'M' onMiss, 'H' onHit
+    trace::BlockId block;
+
+    bool
+    operator==(const PolicyEvent &o) const
+    {
+        return kind == o.kind && block == o.block;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const PolicyEvent &e)
+{
+    return os << e.kind << trace::blockNrOf(e.block);
+}
+
+/** Logs every callback; allocates even-numbered blocks only. */
+class RecordingPolicy : public core::AllocationPolicy
+{
+  public:
+    explicit RecordingPolicy(std::vector<PolicyEvent> *log) : log_(log) {}
+
+    AllocDecision
+    onMiss(const trace::BlockAccess &access) override
+    {
+        log_->push_back({'M', access.block});
+        return trace::blockNrOf(access.block) % 2 == 0
+                   ? AllocDecision::Allocate
+                   : AllocDecision::Bypass;
+    }
+
+    void
+    prefetchMiss(trace::BlockId block) const override
+    {
+        log_->push_back({'P', block});
+    }
+
+    void
+    onHit(const trace::BlockAccess &access) override
+    {
+        log_->push_back({'H', access.block});
+    }
+
+    const char *name() const override { return "recording"; }
+
+  private:
+    std::vector<PolicyEvent> *log_;
+};
+
+trace::Request
+readRequest(uint64_t time, uint64_t offset, uint32_t len)
+{
+    trace::Request r;
+    r.time = time;
+    r.volume = 1;
+    r.op = trace::Op::Read;
+    r.offset_blocks = offset;
+    r.length_blocks = len;
+    r.latency_us = 1000000;
+    return r;
+}
+
+/**
+ * The callbacks one request should produce: per chunk of
+ * BlockCache::kProbeBatch blocks, prefetchMiss for every miss, then in
+ * block order onHit for each hit and onMiss for each miss whose
+ * allocation is not already in flight.
+ */
+template <typename Resident, typename Pending>
+std::vector<PolicyEvent>
+expectedEvents(const trace::Request &req, Resident resident,
+               Pending pending)
+{
+    std::vector<PolicyEvent> out;
+    const uint32_t chunk = cache::BlockCache::kProbeBatch;
+    for (uint32_t base = 0; base < req.length_blocks; base += chunk) {
+        const uint32_t end = std::min(base + chunk, req.length_blocks);
+        for (uint32_t i = base; i < end; ++i)
+            if (!resident(req.offset_blocks + i))
+                out.push_back({'P', req.blockAt(i)});
+        for (uint32_t i = base; i < end; ++i) {
+            const uint64_t nr = req.offset_blocks + i;
+            if (resident(nr))
+                out.push_back({'H', req.blockAt(i)});
+            else if (!pending(nr))
+                out.push_back({'M', req.blockAt(i)});
+        }
+    }
+    return out;
+}
+
+/**
+ * An AllocationPolicy injected through the (config, policy)
+ * constructor runs the same sieve-prefetch phase as a built-in sieve:
+ * each gathered miss is hinted before the decide pass consults it,
+ * hits are never hinted, and misses already in flight are hinted but
+ * not re-consulted.
+ */
+TEST(SieveSpec, InjectedPolicyIsPrefetchedBeforeEachMiss)
+{
+    core::ApplianceConfig cfg;
+    cfg.cache_blocks = 1024;
+    cfg.track_occupancy = false;
+    std::vector<PolicyEvent> log;
+    core::Appliance app(cfg, std::make_unique<RecordingPolicy>(&log));
+    const auto none = [](uint64_t) { return false; };
+    const auto even = [](uint64_t nr) { return nr % 2 == 0; };
+
+    // Cold cache: every block misses.
+    const trace::Request cold = readRequest(0, 0, 100);
+    app.processRequest(cold);
+    EXPECT_EQ(log, expectedEvents(cold, none, none));
+
+    // Before the cold request completes: its even blocks are in
+    // flight, so they are hinted but not consulted again.
+    log.clear();
+    const trace::Request overlap = readRequest(1, 50, 100);
+    app.processRequest(overlap);
+    EXPECT_EQ(log, expectedEvents(overlap, none, [](uint64_t nr) {
+                  return nr < 100 && nr % 2 == 0;
+              }));
+
+    // After both complete: even blocks hit, odd blocks miss afresh.
+    log.clear();
+    const trace::Request warm =
+        readRequest(util::makeTime(0, 1), 0, 150);
+    app.processRequest(warm);
+    EXPECT_EQ(log, expectedEvents(warm, even, none));
+    app.checkInvariants();
 }
 
 } // namespace
