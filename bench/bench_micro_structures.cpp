@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <span>
 #include <vector>
 #include <string>
@@ -336,9 +337,10 @@ BM_ApplianceProcessBatch(benchmark::State &state)
     core::ApplianceConfig ac;
     ac.cache_blocks = 1 << 14;
     ac.track_occupancy = false;
-    ac.sieve.kind = core::SieveKind::SieveStoreC;
-    ac.sieve.sieve_c.imct_slots = 1 << 16;
-    core::Appliance app(ac);
+    core::SieveStoreCConfig sieve;
+    sieve.imct_slots = 1 << 16;
+    core::Appliance app(ac,
+                        std::make_unique<core::SieveStoreCPolicy>(sieve));
 
     uint64_t requests = 0;
     for (auto _ : state) {

@@ -11,9 +11,13 @@
  * the request type alone.
  *
  * This is the one sieve engine: the appliance consults every
- * continuous policy — built-in kinds from core::makeSievePolicy and
+ * continuous policy — the built-in kinds sim::makeAppliance builds and
  * injected ones alike — through this interface, so a new sieve costs
- * one subclass plus (for a built-in kind) one factory case.
+ * one subclass plus (for a built-in kind) one sim::PolicyKind and one
+ * factory case. On a flat, occupancy-free appliance the request-path
+ * hooks run inside the batch no-alloc region, whoever built the
+ * policy: onMiss / onHit / prefetchMiss must not allocate (amortized
+ * table growth exempts itself); onDayClose runs outside it.
  */
 
 #ifndef SIEVESTORE_CORE_ALLOC_POLICY_HPP

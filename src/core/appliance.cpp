@@ -76,13 +76,6 @@ Appliance::initOccupancy()
                                     cfg.cache_blocks);
 }
 
-Appliance::Appliance(ApplianceConfig config)
-    : cfg(std::move(config)), policy_(makeSievePolicy(cfg.sieve)),
-      spec_sieve_(true), cache_(makeCache(cfg))
-{
-    initOccupancy();
-}
-
 Appliance::Appliance(ApplianceConfig config,
                      std::unique_ptr<AllocationPolicy> policy)
     : cfg(std::move(config)), policy_(std::move(policy)),
@@ -119,7 +112,7 @@ Appliance::reportFor(util::TimeUs t)
 bool
 Appliance::flatEnginesOnly() const
 {
-    return spec_sieve_ && !selector_ && !occupancy_ &&
+    return !selector_ && !occupancy_ &&
            cache_.customPolicy() == nullptr;
 }
 

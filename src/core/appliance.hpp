@@ -33,7 +33,6 @@
 #include "cache/block_cache.hpp"
 #include "core/alloc_policy.hpp"
 #include "core/discrete.hpp"
-#include "core/sieve_spec.hpp"
 #include "ssd/occupancy.hpp"
 #include "storage/backend.hpp"
 #include "trace/request.hpp"
@@ -66,12 +65,6 @@ struct ApplianceConfig
      */
     std::function<std::unique_ptr<cache::ReplacementPolicy>()>
         replacement;
-    /**
-     * Built-in continuous sieve for the spec-driven constructor
-     * (defaults to AOD), built by makeSievePolicy. Ignored when a
-     * policy or selector is passed to the constructor explicitly.
-     */
-    SievePolicySpec sieve;
     /**
      * Storage observation engine: every 4 KB I/O unit the analytic
      * model charges is also drained through this backend (analytic
@@ -174,15 +167,10 @@ class Appliance
 {
   public:
     /**
-     * Continuous-allocation appliance consulting
-     * makeSievePolicy(config.sieve): the production constructor every
-     * built-in continuous policy runs through.
-     */
-    explicit Appliance(ApplianceConfig config);
-
-    /**
-     * Continuous-allocation appliance with an explicit policy (the
-     * Section 7 auto-tuner, custom and instrumented test policies).
+     * Continuous-allocation appliance consulting `policy` on every
+     * miss. Every continuous policy runs through here: the built-in
+     * kinds sim::makeAppliance builds, the Section 7 auto-tuner, and
+     * custom or instrumented test policies alike.
      */
     Appliance(ApplianceConfig config,
               std::unique_ptr<AllocationPolicy> policy);
@@ -207,9 +195,8 @@ class Appliance
      * boundaries). Semantically identical to calling processRequest on
      * each element; the batch form hoists the day-report lookup out of
      * the per-request path and, when the path is the production one
-     * (a sieve built from config.sieve, the flat cache, no selector,
-     * no occupancy tracker), arms SIEVE_ASSERT_NO_ALLOC over the whole
-     * batch.
+     * (a continuous policy, the flat cache, no occupancy tracker),
+     * arms SIEVE_ASSERT_NO_ALLOC over the whole batch.
      */
     void processBatch(std::span<const trace::Request> batch);
 
@@ -288,12 +275,13 @@ class Appliance
      */
     void processRequestInto(const trace::Request &req, DailyReport &rep);
     /**
-     * True for the production request path: a sieve built from
-     * config.sieve (whose policies are audited allocation-free), the
-     * flat cache, no discrete selector, no occupancy tracker. These
-     * are the configurations whose hot loop is claimed — and then
-     * enforced — to be allocation-free per batch; injected policies
-     * and custom replacement policies make no such promise.
+     * True for the production request path: a continuous policy, the
+     * flat cache, no occupancy tracker. These are the configurations
+     * whose hot loop is claimed — and then enforced — to be
+     * allocation-free per batch, so every AllocationPolicy's onMiss /
+     * onHit / prefetchMiss must be too (growth points exempt
+     * themselves). Discrete selectors, custom replacement policies
+     * and the occupancy tracker make no such promise.
      */
     bool flatEnginesOnly() const;
     void initOccupancy();
@@ -323,8 +311,6 @@ class Appliance
     ApplianceConfig cfg;
     /** Continuous sieve (exactly one of policy_ / selector_ is set). */
     std::unique_ptr<AllocationPolicy> policy_;
-    /** policy_ was built from cfg.sieve by the spec constructor. */
-    bool spec_sieve_ = false;
     std::unique_ptr<DiscreteSelector> selector_;
     cache::BlockCache cache_;
     std::unique_ptr<ssd::DriveOccupancyTracker> occupancy_;

@@ -4,7 +4,6 @@
 
 #include "util/check.hpp"
 #include "util/logging.hpp"
-#include "util/sim_time.hpp"
 
 namespace sievestore {
 namespace core {
@@ -25,39 +24,10 @@ AutoTunedSievePolicy::AutoTunedSievePolicy(SieveStoreCConfig sieve_cfg_,
     sieve = std::make_unique<SieveStoreCPolicy>(sieve_cfg);
 }
 
-// SIEVE_MAY_ALLOC: closing a day appends one entry to the t2
-// history — amortized, once per simulated day, off the per-request
-// path the batch no-alloc region covers.
-void SIEVE_MAY_ALLOC
-AutoTunedSievePolicy::rollDay(uint64_t day)
-{
-    if (day_known && day == current_day)
-        return;
-    if (day_known) {
-        // Close the finished day: compare its allocation volume to the
-        // churn budget and nudge t2 by one step with hysteresis.
-        const double budget_blocks =
-            tune.churn_budget * static_cast<double>(tune.cache_blocks);
-        const double allocs = static_cast<double>(allocs_today);
-        if (allocs > budget_blocks * (1.0 + tune.slack) &&
-            t2 < tune.max_t2) {
-            ++t2;
-        } else if (allocs < budget_blocks * (1.0 - tune.slack) &&
-                   t2 > tune.min_t2) {
-            --t2;
-        }
-        sieve->setT2(t2);
-        history.push_back(t2);
-    }
-    current_day = day;
-    day_known = true;
-    allocs_today = 0;
-}
-
 AllocDecision
 AutoTunedSievePolicy::onMiss(const trace::BlockAccess &access)
 {
-    rollDay(util::dayOf(access.time));
+    active_today = true;
     const AllocDecision decision = sieve->onMiss(access);
     if (decision == AllocDecision::Allocate)
         ++allocs_today;
@@ -67,8 +37,29 @@ AutoTunedSievePolicy::onMiss(const trace::BlockAccess &access)
 void
 AutoTunedSievePolicy::onHit(const trace::BlockAccess &access)
 {
-    rollDay(util::dayOf(access.time));
+    active_today = true;
     sieve->onHit(access);
+}
+
+void
+AutoTunedSievePolicy::onDayClose(int day)
+{
+    (void)day;
+    if (!active_today)
+        return;
+    const double budget_blocks =
+        tune.churn_budget * static_cast<double>(tune.cache_blocks);
+    const double allocs = static_cast<double>(allocs_today);
+    if (allocs > budget_blocks * (1.0 + tune.slack) && t2 < tune.max_t2) {
+        ++t2;
+    } else if (allocs < budget_blocks * (1.0 - tune.slack) &&
+               t2 > tune.min_t2) {
+        --t2;
+    }
+    sieve->setT2(t2);
+    history.push_back(t2);
+    active_today = false;
+    allocs_today = 0;
 }
 
 uint64_t

@@ -47,8 +47,8 @@ struct AutoTuneConfig
  * SieveStore-C with a per-day feedback controller on t2.
  *
  * Implemented as an allocation policy wrapping the standard two-tier
- * sieve; day boundaries are detected from access timestamps so no
- * driver support is needed.
+ * sieve; the controller steps at each day close
+ * (Appliance::finishDay -> onDayClose), off the request path.
  */
 class AutoTunedSievePolicy : public AllocationPolicy
 {
@@ -57,6 +57,14 @@ class AutoTunedSievePolicy : public AllocationPolicy
 
     AllocDecision onMiss(const trace::BlockAccess &access) override;
     void onHit(const trace::BlockAccess &access) override;
+    /**
+     * Close day `day`: compare its allocation volume to the churn
+     * budget and nudge t2 by one step with hysteresis. A day with no
+     * onHit/onMiss since the previous close is skipped entirely — t2
+     * and the history stay untouched — so idle days never count as
+     * "far under budget".
+     */
+    void onDayClose(int day) override;
     const char *name() const override { return "SieveStore-C/auto"; }
     uint64_t metastateBytes() const override;
 
@@ -78,14 +86,12 @@ class AutoTunedSievePolicy : public AllocationPolicy
     uint64_t allocationsToday() const { return allocs_today; }
 
   private:
-    void rollDay(uint64_t day);
-
     SieveStoreCConfig sieve_cfg;
     AutoTuneConfig tune;
     std::unique_ptr<SieveStoreCPolicy> sieve;
     uint32_t t2;
-    uint64_t current_day = 0;
-    bool day_known = false;
+    /** Some onHit/onMiss arrived since the last day close. */
+    bool active_today = false;
     uint64_t allocs_today = 0;
     std::vector<uint32_t> history;
 };

@@ -65,7 +65,6 @@
 #include "core/imct.hpp"
 #include "core/mct.hpp"
 #include "core/rand_sieve.hpp"
-#include "core/sieve_spec.hpp"
 #include "core/sievestore_c.hpp"
 #include "core/unsieved.hpp"
 #include "core/windowed_counter.hpp"

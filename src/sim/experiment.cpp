@@ -9,30 +9,6 @@
 namespace sievestore {
 namespace sim {
 
-const char *
-policyKindName(PolicyKind kind)
-{
-    switch (kind) {
-      case PolicyKind::Ideal:
-        return "Ideal";
-      case PolicyKind::SieveStoreD:
-        return "SieveStore-D";
-      case PolicyKind::SieveStoreC:
-        return "SieveStore-C";
-      case PolicyKind::RandSieveBlkD:
-        return "RandSieve-BlkD";
-      case PolicyKind::RandSieveC:
-        return "RandSieve-C";
-      case PolicyKind::AOD:
-        return "AOD";
-      case PolicyKind::WMNA:
-        return "WMNA";
-      case PolicyKind::Adaptive:
-        return "SieveStore-C/adaptive";
-    }
-    util::panic("unknown policy kind");
-}
-
 std::unique_ptr<core::Appliance>
 makeAppliance(const PolicyConfig &policy,
               const core::ApplianceConfig &appliance)
@@ -54,14 +30,10 @@ makeAppliance(const PolicyConfig &policy,
         return std::make_unique<Appliance>(appliance,
                                            std::move(selector));
       }
-      case PolicyKind::SieveStoreC: {
-        // Continuous kinds go through the spec-driven constructor,
-        // which builds the policy with core::makeSievePolicy.
-        core::ApplianceConfig cfg = appliance;
-        cfg.sieve.kind = core::SieveKind::SieveStoreC;
-        cfg.sieve.sieve_c = policy.sieve_c;
-        return std::make_unique<Appliance>(std::move(cfg));
-      }
+      case PolicyKind::SieveStoreC:
+        return std::make_unique<Appliance>(
+            appliance,
+            std::make_unique<core::SieveStoreCPolicy>(policy.sieve_c));
       case PolicyKind::RandSieveBlkD: {
         auto selector = std::make_unique<core::RandomBlockSelector>(
             policy.rand_fraction, policy.seed);
@@ -70,29 +42,22 @@ makeAppliance(const PolicyConfig &policy,
         return std::make_unique<Appliance>(appliance,
                                            std::move(selector));
       }
-      case PolicyKind::RandSieveC: {
-        core::ApplianceConfig cfg = appliance;
-        cfg.sieve.kind = core::SieveKind::RandSieveC;
-        cfg.sieve.rand_probability = policy.rand_fraction;
-        cfg.sieve.rand_seed = policy.seed;
-        return std::make_unique<Appliance>(std::move(cfg));
-      }
-      case PolicyKind::AOD: {
-        core::ApplianceConfig cfg = appliance;
-        cfg.sieve.kind = core::SieveKind::Aod;
-        return std::make_unique<Appliance>(std::move(cfg));
-      }
-      case PolicyKind::WMNA: {
-        core::ApplianceConfig cfg = appliance;
-        cfg.sieve.kind = core::SieveKind::Wmna;
-        return std::make_unique<Appliance>(std::move(cfg));
-      }
+      case PolicyKind::RandSieveC:
+        return std::make_unique<Appliance>(
+            appliance, std::make_unique<core::RandSieveCPolicy>(
+                           policy.rand_fraction, policy.seed));
+      case PolicyKind::AOD:
+        return std::make_unique<Appliance>(
+            appliance, std::make_unique<core::AodPolicy>());
+      case PolicyKind::WMNA:
+        return std::make_unique<Appliance>(
+            appliance, std::make_unique<core::WmnaPolicy>());
       case PolicyKind::Adaptive: {
-        core::ApplianceConfig cfg = appliance;
-        cfg.sieve.kind = core::SieveKind::Adaptive;
-        cfg.sieve.adaptive = policy.adaptive;
-        cfg.sieve.adaptive.base = policy.sieve_c;
-        return std::make_unique<Appliance>(std::move(cfg));
+        core::AdaptiveSieveConfig adaptive = policy.adaptive;
+        adaptive.base = policy.sieve_c;
+        return std::make_unique<Appliance>(
+            appliance,
+            std::make_unique<core::AdaptiveSievePolicy>(adaptive));
       }
     }
     util::panic("unknown policy kind");

@@ -1,8 +1,14 @@
 /**
  * @file
  * Experiment plumbing shared by the benchmark harnesses: the policy
- * factory covering every configuration in the paper's evaluation, and a
- * summary structure for occupancy-derived cost metrics.
+ * catalogue covering every configuration in the paper's evaluation, and
+ * a summary structure for occupancy-derived cost metrics.
+ *
+ * makeAppliance is the one place a PolicyKind turns into a policy: it
+ * constructs the AllocationPolicy or DiscreteSelector directly and
+ * hands it to the Appliance. A policy's display name comes from the
+ * policy itself (Appliance::policyName()). Adding a built-in kind is
+ * one policy class, one PolicyKind and one factory case.
  */
 
 #ifndef SIEVESTORE_SIM_EXPERIMENT_HPP
@@ -12,6 +18,7 @@
 #include <string>
 
 #include "core/appliance.hpp"
+#include "core/auto_tune.hpp"
 #include "core/sievestore_c.hpp"
 #include "trace/trace_reader.hpp"
 
@@ -37,9 +44,6 @@ enum class PolicyKind {
     /** SieveStore-C with online (t1, t2) adaptation (continuous). */
     Adaptive,
 };
-
-/** Display name matching the paper's figures. */
-const char *policyKindName(PolicyKind kind);
 
 /** Factory parameters for one policy instance. */
 struct PolicyConfig

@@ -4,7 +4,9 @@
  * conditional regions pass allocations through, and — the property
  * the guard exists to enforce — the flat cache engine's steady state
  * runs entire op loops with zero allocations under every built-in
- * eviction policy.
+ * eviction policy. The appliance's batch region arms for every
+ * continuous policy on a flat, occupancy-free appliance, injected
+ * ones included.
  */
 
 #include <cstdint>
@@ -16,18 +18,31 @@
 
 #include "cache/block_cache.hpp"
 #include "cache/replacement.hpp"
+#include "core/appliance.hpp"
+#include "core/auto_tune.hpp"
 #include "core/imct.hpp"
 #include "core/mct.hpp"
 #include "core/windowed_counter.hpp"
+#include "sim/driver.hpp"
+#include "trace/trace_reader.hpp"
 #include "util/alloc_guard.hpp"
+#include "util/sim_time.hpp"
 #include "util/spsc_queue.hpp"
 
 using sievestore::cache::BlockCache;
 using sievestore::cache::EvictionKind;
 using sievestore::cache::EvictionSpec;
+using sievestore::core::AllocationPolicy;
+using sievestore::core::AllocDecision;
+using sievestore::core::Appliance;
+using sievestore::core::ApplianceConfig;
+using sievestore::core::AutoTunedSievePolicy;
+using sievestore::core::AutoTuneConfig;
 using sievestore::core::Imct;
 using sievestore::core::Mct;
+using sievestore::core::SieveStoreCConfig;
 using sievestore::core::WindowSpec;
+using sievestore::trace::Request;
 using sievestore::util::AllocGuard;
 using sievestore::util::AllocGuardDisarm;
 using sievestore::util::SpscQueue;
@@ -41,6 +56,44 @@ allocateSomething()
     auto p = std::make_unique<std::vector<uint64_t>>(64);
     ASSERT_NE(p->data(), nullptr);
 }
+
+/** The production appliance shape: flat cache, no occupancy tracker. */
+ApplianceConfig
+flatApplianceConfig()
+{
+    ApplianceConfig cfg;
+    cfg.cache_blocks = 1024;
+    cfg.track_occupancy = false;
+    return cfg;
+}
+
+Request
+readRequest(uint64_t time, uint64_t offset, uint32_t len)
+{
+    Request r;
+    r.time = time;
+    r.volume = 1;
+    r.op = sievestore::trace::Op::Read;
+    r.offset_blocks = offset;
+    r.length_blocks = len;
+    r.latency_us = 1000;
+    return r;
+}
+
+/** An injected policy that breaks the contract: allocates per miss. */
+class AllocatingPolicy : public AllocationPolicy
+{
+  public:
+    AllocDecision
+    onMiss(const sievestore::trace::BlockAccess &access) override
+    {
+        (void)access;
+        allocateSomething();
+        return AllocDecision::Bypass;
+    }
+
+    const char *name() const override { return "allocating"; }
+};
 
 } // namespace
 
@@ -78,6 +131,55 @@ TEST(AllocGuardDeathTest, NestedRegionStaysArmedAfterInnerExit)
             allocateSomething();
         },
         "AllocGuard");
+}
+
+TEST(AllocGuardDeathTest, InjectedPolicyAllocatingOnMissAborts)
+{
+    // The batch region arms for every continuous policy, not only the
+    // built-in ones: an injected policy that allocates in onMiss
+    // aborts inside processBatch.
+    EXPECT_DEATH(
+        {
+            Appliance app(flatApplianceConfig(),
+                          std::make_unique<AllocatingPolicy>());
+            app.processRequest(readRequest(0, 0, 8));
+        },
+        "AllocGuard");
+}
+
+TEST(AllocGuard, AutoTunedSieveReplaysUnderTheArmedRegion)
+{
+    // The Section 7 auto-tuner steps t2 at day close, outside the
+    // batch region, so a multi-day replay on the production appliance
+    // shape runs clean — and still tightens under heavy churn.
+    SieveStoreCConfig sieve;
+    sieve.imct_slots = 1 << 12;
+    sieve.t1 = 1;
+    sieve.t2 = 1;
+    AutoTuneConfig tune;
+    tune.cache_blocks = 64; // budget: 64 allocations/day
+    auto policy = std::make_unique<AutoTunedSievePolicy>(sieve, tune);
+    const AutoTunedSievePolicy *view = policy.get();
+    Appliance app(flatApplianceConfig(), std::move(policy));
+
+    // Four days, each missing 800 fresh blocks twice.
+    std::vector<Request> reqs;
+    for (uint64_t day = 0; day < 4; ++day)
+        for (uint64_t pass = 0; pass < 2; ++pass)
+            for (uint64_t i = 0; i < 100; ++i)
+                reqs.push_back(readRequest(
+                    sievestore::util::makeTime(day, 1 + 2 * pass, i),
+                    day * 100000 + i * 8, 8));
+    sievestore::trace::VectorTrace trace(std::move(reqs));
+    sievestore::sim::runTrace(trace, app);
+
+    // runTrace closes days 0-2 (the last day ends with finishTrace):
+    // day 0 churns past budget (t2 1 -> 2); at t2 = 2 two misses per
+    // block no longer admit, so day 1 starves (2 -> 1); day 2 churns
+    // again (1 -> 2).
+    EXPECT_EQ(view->t2History(), (std::vector<uint32_t>{2, 1, 2}));
+    EXPECT_EQ(view->currentT2(), 2u);
+    EXPECT_EQ(app.totals().accesses, 4u * 2 * 100 * 8);
 }
 
 TEST(AllocGuard, ActiveTracksRegionScopes)

@@ -64,8 +64,8 @@ TEST(AutoTune, TightensWhenChurnExceedsBudget)
         policy.onMiss(missAt(b, makeTime(0, 2)));
     }
     EXPECT_GT(policy.allocationsToday(), 100u);
-    // First access of day 1 closes day 0 and raises t2.
-    policy.onMiss(missAt(999999, makeTime(1, 1)));
+    // Closing day 0 raises t2.
+    policy.onDayClose(0);
     EXPECT_EQ(policy.currentT2(), 2u);
     ASSERT_EQ(policy.t2History().size(), 1u);
     EXPECT_EQ(policy.t2History()[0], 2u);
@@ -78,10 +78,31 @@ TEST(AutoTune, LoosensWhenFarUnderBudget)
     SieveStoreCConfig sieve = looseSieve();
     sieve.t2 = 8;
     AutoTunedSievePolicy policy(sieve, tune);
-    // A quiet day 0 (no allocations), then day 1 arrives.
+    // A quiet day 0 (no allocations) closes.
     policy.onMiss(missAt(1, makeTime(0, 1)));
-    policy.onMiss(missAt(2, makeTime(1, 1)));
+    policy.onDayClose(0);
     EXPECT_EQ(policy.currentT2(), 7u);
+}
+
+TEST(AutoTune, IdleDaysLeaveTheControllerAlone)
+{
+    AutoTuneConfig tune;
+    tune.cache_blocks = 1000000; // every active day is under budget
+    SieveStoreCConfig sieve = looseSieve();
+    sieve.t2 = 8;
+    AutoTunedSievePolicy policy(sieve, tune);
+    // Closing a day that saw no access is not "far under budget".
+    policy.onDayClose(0);
+    EXPECT_EQ(policy.currentT2(), 8u);
+    EXPECT_TRUE(policy.t2History().empty());
+
+    policy.onMiss(missAt(1, makeTime(1, 1)));
+    policy.onDayClose(1);
+    EXPECT_EQ(policy.currentT2(), 7u);
+    for (int d = 2; d < 5; ++d)
+        policy.onDayClose(d);
+    EXPECT_EQ(policy.currentT2(), 7u);
+    EXPECT_EQ(policy.t2History(), std::vector<uint32_t>{7u});
 }
 
 TEST(AutoTune, HoldsInsideHysteresisBand)
@@ -97,7 +118,7 @@ TEST(AutoTune, HoldsInsideHysteresisBand)
     for (BlockId b = 0; b < 100; ++b)
         for (uint64_t m = 0; m < 5; ++m)
             policy.onMiss(missAt(b, makeTime(0, 1, m)));
-    policy.onMiss(missAt(424242, makeTime(1, 1)));
+    policy.onDayClose(0);
     EXPECT_EQ(policy.currentT2(), 4u); // unchanged
 }
 
@@ -112,11 +133,12 @@ TEST(AutoTune, RespectsBounds)
     AutoTunedSievePolicy policy(sieve, tune);
     EXPECT_EQ(policy.currentT2(), 3u);
     // Massive churn across several days cannot push above max_t2.
-    for (uint64_t d = 0; d < 3; ++d)
+    for (uint64_t d = 0; d < 3; ++d) {
         for (BlockId b = 0; b < 500; ++b)
             for (uint64_t m = 0; m < 6; ++m)
                 policy.onMiss(missAt(b, makeTime(d, 1, m)));
-    policy.onMiss(missAt(9, makeTime(5, 1)));
+        policy.onDayClose(static_cast<int>(d));
+    }
     EXPECT_LE(policy.currentT2(), 3u);
     EXPECT_GE(policy.currentT2(), 2u);
 }
@@ -126,11 +148,14 @@ TEST(AutoTune, OneStepPerDay)
     AutoTuneConfig tune;
     tune.cache_blocks = 1; // any allocation exceeds budget
     AutoTunedSievePolicy policy(looseSieve(), tune);
-    for (uint64_t d = 0; d < 4; ++d)
+    for (uint64_t d = 0; d < 4; ++d) {
         for (BlockId b = 0; b < 50; ++b)
             for (uint64_t m = 0; m < 3; ++m)
                 policy.onMiss(missAt(b, makeTime(d, 1, m)));
-    // Three day boundaries crossed -> at most +3 steps from t2 = 1.
+        if (d < 3)
+            policy.onDayClose(static_cast<int>(d));
+    }
+    // Three days closed -> at most +3 steps from t2 = 1.
     EXPECT_LE(policy.currentT2(), 4u);
     EXPECT_EQ(policy.t2History().size(), 3u);
 }

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/appliance.hpp"
+#include "core/sievestore_c.hpp"
 #include "sim/batch.hpp"
 #include "sim/driver.hpp"
 #include "sim/experiment.hpp"
@@ -119,7 +121,7 @@ TEST(BatchPipeline, RunTraceInvariantAcrossBatchSizesAndPolicies)
             trace::VectorTrace reader(reqs);
             sim::runTrace(reader, *app, opts);
             expectDailyEq(golden->daily(), app->daily(),
-                          std::string(sim::policyKindName(pk)) +
+                          std::string(app->policyName()) +
                               " batch=" + std::to_string(batch));
         }
     }
@@ -379,15 +381,17 @@ TEST(BatchPipeline, ProcessBatchMatchesPerRequestLoop)
     const auto reqs = randomTrace(51, 800, 30 * 1000000);
     core::ApplianceConfig cfg;
     cfg.cache_blocks = 256;
-    cfg.sieve.kind = core::SieveKind::SieveStoreC;
-    cfg.sieve.sieve_c.imct_slots = 1 << 12;
+    core::SieveStoreCConfig sieve;
+    sieve.imct_slots = 1 << 12;
 
-    core::Appliance scalar(cfg);
+    core::Appliance scalar(cfg,
+                           std::make_unique<core::SieveStoreCPolicy>(sieve));
     for (const trace::Request &r : reqs)
         scalar.processRequest(r);
     scalar.finishTrace();
 
-    core::Appliance batched(cfg);
+    core::Appliance batched(
+        cfg, std::make_unique<core::SieveStoreCPolicy>(sieve));
     size_t i = 0;
     while (i < reqs.size()) {
         size_t j = i + 1;

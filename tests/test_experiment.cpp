@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "sim/driver.hpp"
 #include "sim/experiment.hpp"
 #include "util/logging.hpp"
@@ -42,18 +44,31 @@ config()
     return cfg;
 }
 
-TEST(PolicyFactory, NamesMatchPaper)
+TEST(PolicyFactory, AppliancesCarryThePapersNames)
 {
-    EXPECT_STREQ(policyKindName(PolicyKind::Ideal), "Ideal");
-    EXPECT_STREQ(policyKindName(PolicyKind::SieveStoreD),
-                 "SieveStore-D");
-    EXPECT_STREQ(policyKindName(PolicyKind::SieveStoreC),
-                 "SieveStore-C");
-    EXPECT_STREQ(policyKindName(PolicyKind::RandSieveBlkD),
-                 "RandSieve-BlkD");
-    EXPECT_STREQ(policyKindName(PolicyKind::RandSieveC), "RandSieve-C");
-    EXPECT_STREQ(policyKindName(PolicyKind::AOD), "AOD");
-    EXPECT_STREQ(policyKindName(PolicyKind::WMNA), "WMNA");
+    // The policy objects are the one name table: every PolicyKind's
+    // appliance reports the name the paper's figures use.
+    const std::pair<PolicyKind, const char *> expected[] = {
+        {PolicyKind::SieveStoreD, "SieveStore-D"},
+        {PolicyKind::SieveStoreC, "SieveStore-C"},
+        {PolicyKind::RandSieveBlkD, "RandSieve-BlkD"},
+        {PolicyKind::RandSieveC, "RandSieve-C"},
+        {PolicyKind::AOD, "AOD"},
+        {PolicyKind::WMNA, "WMNA"},
+        {PolicyKind::Adaptive, "SieveStore-C/adaptive"},
+    };
+    for (const auto &[kind, name] : expected) {
+        PolicyConfig pc;
+        pc.kind = kind;
+        pc.sieve_c.imct_slots = 1024;
+        EXPECT_STREQ(makeAppliance(pc, config())->policyName(), name);
+    }
+
+    VectorTrace trace({makeRequest(makeTime(0, 1), 0, 1)});
+    PolicyConfig ideal;
+    ideal.kind = PolicyKind::Ideal;
+    EXPECT_STREQ(makeIdealAppliance(trace, ideal, config())->policyName(),
+                 "Ideal");
 }
 
 TEST(PolicyFactory, BuildsEveryContinuousAndDiscreteKind)
@@ -61,13 +76,17 @@ TEST(PolicyFactory, BuildsEveryContinuousAndDiscreteKind)
     for (PolicyKind kind :
          {PolicyKind::SieveStoreD, PolicyKind::SieveStoreC,
           PolicyKind::RandSieveBlkD, PolicyKind::RandSieveC,
-          PolicyKind::AOD, PolicyKind::WMNA}) {
+          PolicyKind::AOD, PolicyKind::WMNA, PolicyKind::Adaptive}) {
         PolicyConfig pc;
         pc.kind = kind;
         pc.sieve_c.imct_slots = 1024;
         auto app = makeAppliance(pc, config());
         ASSERT_NE(app, nullptr);
-        EXPECT_STREQ(app->policyName(), policyKindName(kind));
+        app->processRequest(makeRequest(1000, 0, 8, Op::Read));
+        app->finishDay(0);
+        app->finishTrace();
+        EXPECT_EQ(app->totals().accesses, 8u) << app->policyName();
+        app->checkInvariants();
     }
 }
 

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,7 +24,9 @@
 #include "cache/block_cache.hpp"
 #include "cache/replacement.hpp"
 #include "core/appliance.hpp"
-#include "core/sieve_spec.hpp"
+#include "core/rand_sieve.hpp"
+#include "core/sievestore_c.hpp"
+#include "core/unsieved.hpp"
 #include "sim/driver.hpp"
 #include "sim/experiment.hpp"
 #include "util/random.hpp"
@@ -40,6 +43,28 @@ using sievestore::util::Rng;
 const EvictionKind kAllKinds[] = {EvictionKind::Lru, EvictionKind::Fifo,
                                   EvictionKind::Clock, EvictionKind::Lfu,
                                   EvictionKind::Random};
+
+/** Builds one of the batched-kernel matrix's continuous sieves. */
+using SieveFactory = std::unique_ptr<core::AllocationPolicy> (*)();
+
+/** AOD, WMNA, SieveStore-C and RandSieve-C, built by their
+ * constructors and passed to Appliance(config, policy). */
+const SieveFactory kSieves[] = {
+    []() -> std::unique_ptr<core::AllocationPolicy> {
+        return std::make_unique<core::AodPolicy>();
+    },
+    []() -> std::unique_ptr<core::AllocationPolicy> {
+        return std::make_unique<core::WmnaPolicy>();
+    },
+    []() -> std::unique_ptr<core::AllocationPolicy> {
+        core::SieveStoreCConfig cfg;
+        cfg.imct_slots = 1 << 12;
+        return std::make_unique<core::SieveStoreCPolicy>(cfg);
+    },
+    []() -> std::unique_ptr<core::AllocationPolicy> {
+        return std::make_unique<core::RandSieveCPolicy>(0.05, 17);
+    },
+};
 
 // ---- cache-level op stream ----------------------------------------
 
@@ -287,7 +312,7 @@ TEST(FlatCacheDifferential, ApplianceReportsMatchAcrossPolicyMatrix)
 
             const std::string label =
                 std::string(evictionKindName(kind)) + " x " +
-                sim::policyKindName(pk);
+                flat_app->policyName();
             const auto &fd = flat_app->daily();
             const auto &rd = ref_app->daily();
             ASSERT_EQ(fd.size(), rd.size()) << label;
@@ -317,28 +342,21 @@ TEST(FlatCacheDifferential, ApplianceReportsMatchAcrossPolicyMatrix)
 TEST(BatchKernelDifferential, ProcessBatchMatchesScalarAcrossMatrix)
 {
     const auto reqs = randomTrace(555, 3000, 200);
-    const core::SieveKind sieves[] = {
-        core::SieveKind::Aod, core::SieveKind::Wmna,
-        core::SieveKind::SieveStoreC, core::SieveKind::RandSieveC};
     const bool prior_simd = util::batchSimdEnabled();
 
     for (const EvictionKind ek : kAllKinds) {
-        for (const core::SieveKind sk : sieves) {
+        for (const SieveFactory make_sieve : kSieves) {
             core::ApplianceConfig cfg;
             cfg.cache_blocks = 512;
             cfg.track_occupancy = false; // flat-engine configuration
             cfg.eviction = EvictionSpec{ek, 21};
-            cfg.sieve.kind = sk;
-            cfg.sieve.rand_probability = 0.05;
-            cfg.sieve.rand_seed = 17;
-            cfg.sieve.sieve_c.imct_slots = 1 << 12;
 
             // Baseline: the Reference* replacement engine at batch 1.
             core::ApplianceConfig ref_cfg = cfg;
             ref_cfg.replacement = [spec = cfg.eviction] {
                 return makeReferencePolicy(spec, 512);
             };
-            core::Appliance ref_app(ref_cfg);
+            core::Appliance ref_app(ref_cfg, make_sieve());
             trace::VectorTrace ref_trace(reqs);
             sim::DriverOptions ref_options;
             ref_options.batch = 1;
@@ -351,7 +369,7 @@ TEST(BatchKernelDifferential, ProcessBatchMatchesScalarAcrossMatrix)
                 for (const size_t batch : {size_t{1}, size_t{8},
                                            size_t{64}}) {
                     util::setBatchSimd(simd);
-                    core::Appliance flat_app(cfg);
+                    core::Appliance flat_app(cfg, make_sieve());
                     trace::VectorTrace flat_trace(reqs);
                     sim::DriverOptions options;
                     options.batch = batch;
@@ -359,7 +377,7 @@ TEST(BatchKernelDifferential, ProcessBatchMatchesScalarAcrossMatrix)
 
                     const std::string label =
                         std::string(evictionKindName(ek)) + " x " +
-                        core::sieveKindName(sk) +
+                        flat_app.policyName() +
                         (simd ? " avx2" : " scalar-probe") +
                         " batch " + std::to_string(batch);
                     const auto &fd = flat_app.daily();

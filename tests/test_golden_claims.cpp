@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/driver.hpp"
 #include "sim/experiment.hpp"
 #include "trace/synthetic.hpp"
@@ -56,8 +58,9 @@ const GoldenRow kGolden[] = {
     {PolicyKind::WMNA, 490360, 145693, 249959, 0, 32003},
 };
 
-core::DailyReport
-runGolden(PolicyKind kind)
+/** Replay the golden workload through `kind`'s appliance. */
+std::unique_ptr<core::Appliance>
+goldenAppliance(PolicyKind kind)
 {
     SyntheticConfig workload;
     workload.scale = 1.0 / kInvScale;
@@ -77,14 +80,21 @@ runGolden(PolicyKind kind)
             ? makeIdealAppliance(gen, pc, ac)
             : makeAppliance(pc, ac);
     runTrace(gen, *app);
-    return app->totals();
+    return app;
+}
+
+core::DailyReport
+runGolden(PolicyKind kind)
+{
+    return goldenAppliance(kind)->totals();
 }
 
 TEST(GoldenClaims, Figure5And6TotalsAreBitStable)
 {
     for (const GoldenRow &row : kGolden) {
-        const core::DailyReport t = runGolden(row.kind);
-        const char *name = policyKindName(row.kind);
+        const auto app = goldenAppliance(row.kind);
+        const core::DailyReport t = app->totals();
+        const char *name = app->policyName();
         EXPECT_EQ(t.accesses, row.accesses) << name;
         EXPECT_EQ(t.hits, row.hits) << name;
         EXPECT_EQ(t.allocation_write_blocks,

@@ -67,18 +67,21 @@ expectBitIdentical(TraceReader &reader, const ShardedConfig &config,
     reader.reset();
 
     ASSERT_EQ(serial.nodes.size(), parallel.nodes.size()) << label;
+    ASSERT_FALSE(serial.nodes.empty()) << label;
+    const std::string where =
+        std::string(serial.nodes.front()->policyName()) + " x " + label;
     for (size_t s = 0; s < serial.nodes.size(); ++s) {
         const auto &sd = serial.nodes[s]->daily();
         const auto &pd = parallel.nodes[s]->daily();
         ASSERT_EQ(sd.size(), pd.size())
-            << label << " shard " << s << " day count";
+            << where << " shard " << s << " day count";
         for (size_t d = 0; d < sd.size(); ++d)
             expectReportEq(sd[d], pd[d],
-                           label + " shard " + std::to_string(s) +
+                           where + " shard " + std::to_string(s) +
                                " day " + std::to_string(d));
     }
     expectReportEq(serial.totals(), parallel.totals(),
-                   label + " totals");
+                   where + " totals");
 }
 
 SyntheticEnsembleGenerator
@@ -121,7 +124,6 @@ TEST(ParallelReplay, DifferentialSweepMatchesSerialBitForBit)
         for (const PolicyKind kind : kinds) {
             for (const size_t shards : shard_counts) {
                 const std::string label =
-                    std::string(policyKindName(kind)) + " x " +
                     std::to_string(shards) + " shards, seed " +
                     std::to_string(seed);
                 expectBitIdentical(gen, makeConfig(kind, shards),

@@ -1,10 +1,10 @@
 /**
  * @file
- * Unit tests for the spec-driven sieve factory (core/sieve_spec.hpp)
- * and for how the appliance's request loop consults an
- * AllocationPolicy: every gathered miss of a chunk is prefetched
- * before the in-order decide pass reaches it, for built-in and
- * injected policies alike.
+ * How the appliance's request loop consults an AllocationPolicy: every
+ * gathered miss of a chunk is prefetched before the in-order decide
+ * pass reaches it, for built-in and injected policies alike. Plus the
+ * identity and decision plumbing of the built-in policies as their
+ * constructors build them.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,8 @@
 #include <vector>
 
 #include "core/appliance.hpp"
-#include "core/sieve_spec.hpp"
+#include "core/sievestore_c.hpp"
+#include "core/unsieved.hpp"
 #include "util/random.hpp"
 #include "util/sim_time.hpp"
 
@@ -23,18 +24,7 @@ namespace {
 
 using namespace sievestore;
 using core::AllocDecision;
-using core::SieveKind;
-using core::SievePolicySpec;
 using util::Rng;
-
-SievePolicySpec
-specFor(SieveKind kind)
-{
-    SievePolicySpec spec;
-    spec.kind = kind;
-    spec.sieve_c.imct_slots = 1 << 12;
-    return spec;
-}
 
 trace::BlockAccess
 randomAccess(Rng &rng, uint64_t t)
@@ -50,46 +40,35 @@ randomAccess(Rng &rng, uint64_t t)
 
 // ---- identity plumbing --------------------------------------------
 
-TEST(SieveSpec, SieveCAblationNamesFlowThroughSpec)
+TEST(PolicyConsultation, SieveCAblationNamesFlowThroughConfig)
 {
-    SievePolicySpec spec = specFor(SieveKind::SieveStoreC);
-    spec.sieve_c.mct_only = true;
-    EXPECT_STREQ(core::makeSievePolicy(spec)->name(),
+    core::SieveStoreCConfig cfg;
+    cfg.imct_slots = 1 << 12;
+    cfg.mct_only = true;
+    EXPECT_STREQ(core::SieveStoreCPolicy(cfg).name(),
                  "SieveStore-C/mct-only");
 
-    spec.sieve_c.mct_only = false;
-    spec.sieve_c.imct_only = true;
-    EXPECT_STREQ(core::makeSievePolicy(spec)->name(),
+    cfg.mct_only = false;
+    cfg.imct_only = true;
+    EXPECT_STREQ(core::SieveStoreCPolicy(cfg).name(),
                  "SieveStore-C/imct-only");
-}
-
-TEST(SieveSpec, KindNamesAreStable)
-{
-    EXPECT_STREQ(core::sieveKindName(SieveKind::Aod), "AOD");
-    EXPECT_STREQ(core::sieveKindName(SieveKind::Wmna), "WMNA");
-    EXPECT_STREQ(core::sieveKindName(SieveKind::SieveStoreC),
-                 "SieveStore-C");
-    EXPECT_STREQ(core::sieveKindName(SieveKind::RandSieveC),
-                 "RandSieve-C");
-    EXPECT_STREQ(core::sieveKindName(SieveKind::Adaptive),
-                 "SieveStore-C/adaptive");
 }
 
 // ---- stateless-kind semantics -------------------------------------
 
-TEST(SieveSpec, AodAllocatesEveryMissWmnaOnlyReads)
+TEST(PolicyConsultation, AodAllocatesEveryMissWmnaOnlyReads)
 {
-    auto aod = core::makeSievePolicy(specFor(SieveKind::Aod));
-    auto wmna = core::makeSievePolicy(specFor(SieveKind::Wmna));
+    core::AodPolicy aod;
+    core::WmnaPolicy wmna;
     Rng rng(3);
     uint64_t t = 0;
     for (int op = 0; op < 1000; ++op) {
         t += rng.nextBelow(1000000);
         const trace::BlockAccess a = randomAccess(rng, t);
-        EXPECT_EQ(aod->onMiss(a), AllocDecision::Allocate);
-        EXPECT_EQ(wmna->onMiss(a), a.op == trace::Op::Read
-                                       ? AllocDecision::Allocate
-                                       : AllocDecision::Bypass);
+        EXPECT_EQ(aod.onMiss(a), AllocDecision::Allocate);
+        EXPECT_EQ(wmna.onMiss(a), a.op == trace::Op::Read
+                                      ? AllocDecision::Allocate
+                                      : AllocDecision::Bypass);
     }
 }
 
@@ -114,11 +93,20 @@ operator<<(std::ostream &os, const PolicyEvent &e)
     return os << e.kind << trace::blockNrOf(e.block);
 }
 
-/** Logs every callback; allocates even-numbered blocks only. */
+/**
+ * Logs every callback; allocates even-numbered blocks only. The log is
+ * reserved up front: on a flat, occupancy-free appliance the callbacks
+ * run inside processBatch's armed no-alloc region.
+ */
 class RecordingPolicy : public core::AllocationPolicy
 {
   public:
-    explicit RecordingPolicy(std::vector<PolicyEvent> *log) : log_(log) {}
+    static constexpr size_t kLogReserve = 1024;
+
+    explicit RecordingPolicy(std::vector<PolicyEvent> *log) : log_(log)
+    {
+        log_->reserve(kLogReserve);
+    }
 
     AllocDecision
     onMiss(const trace::BlockAccess &access) override
@@ -190,13 +178,14 @@ expectedEvents(const trace::Request &req, Resident resident,
 }
 
 /**
- * An AllocationPolicy injected through the (config, policy)
- * constructor runs the same sieve-prefetch phase as a built-in sieve:
- * each gathered miss is hinted before the decide pass consults it,
- * hits are never hinted, and misses already in flight are hinted but
- * not re-consulted.
+ * A test policy injected through the (config, policy) constructor runs
+ * the same sieve-prefetch phase as the built-in sieves: each gathered
+ * miss is hinted before the decide pass consults it, hits are never
+ * hinted, and misses already in flight are hinted but not
+ * re-consulted. The appliance is flat and occupancy-free, so the
+ * callbacks also run under the armed batch no-alloc region.
  */
-TEST(SieveSpec, InjectedPolicyIsPrefetchedBeforeEachMiss)
+TEST(PolicyConsultation, InjectedPolicyIsPrefetchedBeforeEachMiss)
 {
     core::ApplianceConfig cfg;
     cfg.cache_blocks = 1024;
