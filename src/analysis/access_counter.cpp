@@ -48,39 +48,11 @@ sortedByCount(const BlockCounts &counts)
     return out;
 }
 
-AccessCounter::AccessCounter(size_t expected_blocks)
-    : counts_(expected_blocks)
-{
-}
-
 void
-AccessCounter::reserve(size_t expected_blocks)
+AccessCounter::observeGrowing(trace::BlockId block)
 {
-    counts_.reserve(expected_blocks);
-}
-
-void
-AccessCounter::observe(trace::BlockId block)
-{
-    // A driver that called reserveEpochBlocks() sized the table for
-    // the epoch population; while that headroom lasts, observation
-    // must be a pure probe. Unreserved use may still grow the table.
-    SIEVE_ASSERT_NO_ALLOC_WHEN(counts_.hasCapacityFor(1));
+    util::AllocGuardDisarm growth; // amortized table growth
     ++*counts_.findOrInsert(block).first;
-}
-
-void
-AccessCounter::observeBatch(std::span<const trace::BlockId> blocks)
-{
-    // Hash-ahead: every home slot's lines start toward L1 before the
-    // first findOrInsert issues its dependent load. The bumps then run
-    // in batch order — counts are commutative, so any order matches
-    // N scalar observe() calls; in-order keeps the table's insert
-    // history (and thus slot layout) bit-identical too.
-    for (const trace::BlockId block : blocks)
-        counts_.prefetch(block);
-    for (const trace::BlockId block : blocks)
-        observe(block);
 }
 
 // SIEVE_NOALLOC: reads are pure probes; the analyzer proves the
@@ -98,12 +70,6 @@ AccessCounter::totalAccesses() const
     uint64_t total = 0;
     counts_.forEach([&](uint64_t, const uint64_t &c) { total += c; });
     return total;
-}
-
-std::vector<BlockCount>
-AccessCounter::sortedByCount() const
-{
-    return countsAtLeast(0);
 }
 
 std::vector<BlockCount>

@@ -12,7 +12,6 @@
 #define SIEVESTORE_ANALYSIS_ACCESS_COUNTER_HPP
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -51,33 +50,32 @@ void sortDescendingByCount(std::vector<BlockCount> &counts);
  * Per-block access counter on the flat block index
  * (util/flat_index.hpp): one open-addressing probe per observation
  * instead of a node-based unordered_map insert. This is the counting
- * state of the discrete selectors (SieveStore-D's in-memory ADBA
- * backend and the ablation selectors); reserve() lets the driver
- * pre-size it for the expected epoch population so steady-state
- * observation never rehashes, and clear() keeps the slot array so
- * epoch boundaries do not re-grow from scratch.
+ * state of the epoch-batched policies (SieveStore-D's in-memory ADBA
+ * backend and RandSieve-BlkD). observe() runs inside the appliance's
+ * batch no-alloc region, so its amortized table growth exempts itself;
+ * clear() keeps the slot array so epoch boundaries do not re-grow from
+ * scratch.
  */
 class AccessCounter
 {
   public:
-    AccessCounter() = default;
-
-    /** Pre-sized for `expected_blocks` distinct blocks. */
-    explicit AccessCounter(size_t expected_blocks);
-
-    /** Grow so `expected_blocks` distinct blocks fit rehash-free. */
-    void reserve(size_t expected_blocks);
-
-    /** Record one access to `block`. */
-    void observe(trace::BlockId block);
-
     /**
-     * Record one access to each block, hash-ahead style: every home
-     * slot is prefetched before the first counter bump, hiding the
-     * table's DRAM latency across the batch. Counts are commutative,
-     * so the result is identical to observing in any order.
+     * Record one access to `block`. Table growth is the one
+     * allocation and runs out of line under util::AllocGuardDisarm,
+     * so an enclosing no-alloc region stays armed across it.
      */
-    void observeBatch(std::span<const trace::BlockId> blocks);
+    void
+    observe(trace::BlockId block)
+    {
+        if (!counts_.hasCapacityFor(1)) {
+            observeGrowing(block);
+            return;
+        }
+        ++*counts_.findOrInsert(block).first;
+    }
+
+    /** Pull `block`'s home slot toward L1 ahead of observe(). */
+    void prefetch(trace::BlockId block) const { counts_.prefetch(block); }
 
     /** Access count of `block` (0 if never observed). */
     uint64_t count(trace::BlockId block) const;
@@ -89,10 +87,8 @@ class AccessCounter
     /** Sum of all counts. */
     uint64_t totalAccesses() const;
 
-    /** All (block, count) pairs, descending count / ascending block. */
-    std::vector<BlockCount> sortedByCount() const;
-
-    /** Pairs with count >= threshold, same deterministic order. */
+    /** Pairs with count >= threshold, descending count / ascending
+     * block. */
     std::vector<BlockCount> countsAtLeast(uint64_t threshold) const;
 
     /** Observed blocks in ascending BlockId order. */
@@ -108,6 +104,9 @@ class AccessCounter
     void checkInvariants() const { counts_.checkInvariants(); }
 
   private:
+    /** observe() when the insert may grow the table. */
+    void observeGrowing(trace::BlockId block);
+
     util::FlatIndex<uint64_t> counts_;
 };
 

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "util/alloc_guard.hpp"
 #include "util/hashing.hpp"
 #include "util/logging.hpp"
 
@@ -15,6 +16,9 @@ namespace fs = std::filesystem;
 using trace::BlockId;
 
 namespace {
+
+/** Initial capacity of a partition's in-memory append buffer. */
+constexpr size_t kMinBuffer = 64;
 
 /** Append raw 8-byte block ids to a file. */
 void
@@ -164,13 +168,24 @@ AccessLog::partitionOf(BlockId block) const
         util::reduceRange(util::mix64(block), parts.size()));
 }
 
+// log() runs inside the appliance's batch no-alloc region (SieveStore-D
+// counts from AllocationPolicy::onMiss / onHit). Its three allocating
+// points — amortized buffer growth, the spill to the raw file and the
+// incremental compaction — disarm the guard; a plain append into
+// buffered capacity stays allocation-free.
 void
 AccessLog::log(BlockId block)
 {
     Partition &p = parts[partitionOf(block)];
+    if (p.buffer.size() == p.buffer.capacity()) {
+        util::AllocGuardDisarm growth; // amortized buffer growth
+        p.buffer.reserve(
+            std::max<size_t>(kMinBuffer, p.buffer.capacity() * 2));
+    }
     p.buffer.push_back(block);
     ++logged_count;
     if (p.buffer.size() >= config.flush_threshold) {
+        util::AllocGuardDisarm spill; // file I/O and compaction
         flushBuffer(p);
         if (p.raw_bytes >= config.compact_threshold_bytes)
             compactPartition(p);

@@ -14,14 +14,6 @@ PopularityProfile::PopularityProfile(const BlockCounts &counts, size_t bins)
     build(bins);
 }
 
-PopularityProfile::PopularityProfile(std::vector<BlockCount> counts,
-                                     size_t bins)
-{
-    ranked_ = std::move(counts);
-    sortDescendingByCount(ranked_);
-    build(bins);
-}
-
 void
 PopularityProfile::build(size_t bins)
 {

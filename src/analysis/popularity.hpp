@@ -34,14 +34,6 @@ class PopularityProfile
     explicit PopularityProfile(const BlockCounts &counts,
                                size_t bins = 10000);
 
-    /**
-     * Build from already-flattened (block, count) pairs, e.g. an
-     * AccessCounter's sortedByCount(). The pairs are (re)sorted into
-     * the canonical descending-count order; blocks must be distinct.
-     */
-    explicit PopularityProfile(std::vector<BlockCount> counts,
-                               size_t bins = 10000);
-
     /** Distinct blocks accessed. */
     uint64_t uniqueBlocks() const { return unique; }
     /** Total accesses. */

@@ -4,26 +4,33 @@
  *
  * The paper's central claim is that the *allocation* policy — who gets
  * into the cache — is the lever that matters for ensemble-level SSD
- * caching, independent of the replacement policy. A continuous
- * AllocationPolicy is consulted on every miss; sieved policies
- * (SieveStore-C) answer Allocate only for blocks whose recent miss
- * history proves popularity, unsieved policies (AOD, WMNA) answer from
- * the request type alone.
+ * caching, independent of the replacement policy. Both of the paper's
+ * sieve families decide through this one interface:
  *
- * This is the one sieve engine: the appliance consults every
- * continuous policy — the built-in kinds sim::makeAppliance builds and
- * injected ones alike — through this interface, so a new sieve costs
- * one subclass plus (for a built-in kind) one sim::PolicyKind and one
- * factory case. On a flat, occupancy-free appliance the request-path
- * hooks run inside the batch no-alloc region, whoever built the
- * policy: onMiss / onHit / prefetchMiss must not allocate (amortized
- * table growth exempts itself); onDayClose runs outside it.
+ *  - continuous policies (SieveStore-C, RandSieve-C, AOD, WMNA, the
+ *    adaptive sieve) answer onMiss per access: sieved ones Allocate
+ *    only for blocks whose recent miss history proves popularity,
+ *    unsieved ones answer from the request type alone;
+ *  - epoch-batched policies (SieveStore-D, RandSieve-BlkD, Ideal in
+ *    core/discrete.hpp) count accesses in onMiss / onHit, always
+ *    Bypass, and return the next epoch's block set from onDayClose,
+ *    which the appliance batch-installs.
+ *
+ * The appliance consults every policy — the built-in kinds
+ * sim::makeAppliance builds and injected ones alike — through this
+ * interface, so a new admission scheme costs one subclass plus (for a
+ * built-in kind) one sim::PolicyKind and one factory case. On a flat,
+ * occupancy-free appliance the request-path hooks run inside the batch
+ * no-alloc region, whoever built the policy: onMiss / onHit and the
+ * prefetchMiss / prefetchHit hints must not allocate (amortized table
+ * and log growth exempts itself); onDayClose runs outside it.
  */
 
 #ifndef SIEVESTORE_CORE_ALLOC_POLICY_HPP
 #define SIEVESTORE_CORE_ALLOC_POLICY_HPP
 
 #include <optional>
+#include <vector>
 
 #include "trace/request.hpp"
 #include "util/flow_annotations.hpp"
@@ -53,8 +60,9 @@ enum class AllocDecision : uint8_t {
 };
 
 /**
- * Continuous (per-access) allocation policy. Stateful implementations
- * (SieveStore-C) also observe hits to keep their windows honest.
+ * Allocation policy, consulted per access and at every day close.
+ * Stateful implementations (SieveStore-C, the epoch-batched counters)
+ * also observe hits.
  */
 class AllocationPolicy
 {
@@ -88,6 +96,19 @@ class AllocationPolicy
         (void)block;
     }
 
+    /**
+     * Hint that onHit for this block is imminent, issued in the same
+     * sieve-prefetch phase for every gathered hit. Pure, like
+     * prefetchMiss. Policies that count hits (the epoch-batched
+     * counters) pull their counter line here; the default ignores
+     * the hint.
+     */
+    virtual SIEVE_TAINT_SINK void
+    prefetchHit(trace::BlockId block) const
+    {
+        (void)block;
+    }
+
     /** Observe a hit (default: ignore). */
     virtual SIEVE_TAINT_SINK void
     onHit(const trace::BlockAccess &access)
@@ -97,12 +118,22 @@ class AllocationPolicy
 
     /**
      * Calendar day `day` just closed (Appliance::finishDay). The hook
-     * for epoch-scale adaptation: the adaptive sieve compares its
+     * for epoch-scale decisions, off the request path, so
+     * implementations may allocate. The adaptive sieve compares its
      * shadow settings here and may switch thresholds for the next
-     * day. Off the request path, so implementations may allocate.
-     * Default: ignore.
+     * day; an epoch-batched policy returns the block set the cache
+     * must hold during `day + 1` (descending priority; the cache
+     * truncates to capacity), which the appliance installs with
+     * cancellation of retained blocks.
+     * @return the next epoch's block set, or nullopt when there is
+     *         nothing to install (the default)
      */
-    virtual void onDayClose(int day) { (void)day; }
+    virtual std::optional<std::vector<trace::BlockId>>
+    onDayClose(int day)
+    {
+        (void)day;
+        return std::nullopt;
+    }
 
     /**
      * Self-tuning observability: the thresholds in force and the

@@ -64,18 +64,6 @@ sumReports(const std::vector<DailyReport> &days)
     return sum;
 }
 
-void
-Appliance::initOccupancy()
-{
-    if (cfg.track_occupancy)
-        occupancy_ =
-            std::make_unique<ssd::DriveOccupancyTracker>(cfg.ssd);
-    alloc_queue.reserve(kPendingReserve);
-    pending.reserve(kPendingReserve);
-    backend_ = storage::makeBackend(cfg.backend, cfg.ssd,
-                                    cfg.cache_blocks);
-}
-
 Appliance::Appliance(ApplianceConfig config,
                      std::unique_ptr<AllocationPolicy> policy)
     : cfg(std::move(config)), policy_(std::move(policy)),
@@ -83,17 +71,13 @@ Appliance::Appliance(ApplianceConfig config,
 {
     if (!policy_)
         util::fatal("appliance requires an allocation policy");
-    initOccupancy();
-}
-
-Appliance::Appliance(ApplianceConfig config,
-                     std::unique_ptr<DiscreteSelector> selector)
-    : cfg(std::move(config)), selector_(std::move(selector)),
-      cache_(makeCache(cfg))
-{
-    if (!selector_)
-        util::fatal("appliance requires a discrete selector");
-    initOccupancy();
+    if (cfg.track_occupancy)
+        occupancy_ =
+            std::make_unique<ssd::DriveOccupancyTracker>(cfg.ssd);
+    alloc_queue.reserve(kPendingReserve);
+    pending.reserve(kPendingReserve);
+    backend_ = storage::makeBackend(cfg.backend, cfg.ssd,
+                                    cfg.cache_blocks);
 }
 
 // SIEVE_MAY_ALLOC: the per-day report vector grows on the first
@@ -112,8 +96,7 @@ Appliance::reportFor(util::TimeUs t)
 bool
 Appliance::flatEnginesOnly() const
 {
-    return !selector_ && !occupancy_ &&
-           cache_.customPolicy() == nullptr;
+    return !occupancy_ && cache_.customPolicy() == nullptr;
 }
 
 void
@@ -275,7 +258,7 @@ void
 Appliance::stageBatchMove(util::TimeUs t)
 {
     // Page-coalesce consecutive same-unit blocks exactly like the
-    // request path: the selector emits runs of contiguous blocks, so
+    // request path: epoch sets carry runs of contiguous blocks, so
     // adjacent-duplicate suppression matches the model's 4 KB unit
     // charging for batch installs.
     uint64_t last_page = UINT64_MAX;
@@ -334,11 +317,6 @@ Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
     constexpr size_t kChunk = cache::BlockCache::kProbeBatch;
     BlockId keys[kChunk];
     cache::PolicyState *st[kChunk];
-    // Discrete selectors observe every access in block order; each
-    // chunk's observations are staged here and flushed through
-    // observeBatch so hash-table-backed selectors get the batched
-    // hash-ahead path.
-    trace::BlockAccess staged[kChunk];
 
     for (uint32_t base = 0; base < req.length_blocks;
          base += static_cast<uint32_t>(kChunk)) {
@@ -357,15 +335,20 @@ Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
 
         // Phase 2 — sieve prefetch: every gathered miss is about to
         // consult the pending set and the sieve tiers; start their
-        // lines (pending home slot, IMCT slot, MCT home slot) toward
-        // L1 before the in-order pass issues its dependent loads.
-        if (policy_) {
-            for (uint32_t i = 0; i < n; ++i) {
-                if (st[i] == nullptr) {
-                    pending.prefetch(keys[i]);
-                    policy_->prefetchMiss(keys[i]);
-                }
+        // lines (pending home slot, IMCT slot, MCT home slot, epoch
+        // counter slot) toward L1 before the in-order pass issues its
+        // dependent loads, and let the policy pull what its onHit
+        // will touch. An empty pending set (always, for an
+        // epoch-batched policy) has no line worth pulling.
+        const bool any_pending = !pending.empty();
+        for (uint32_t i = 0; i < n; ++i) {
+            if (st[i] != nullptr) {
+                policy_->prefetchHit(keys[i]);
+                continue;
             }
+            if (any_pending)
+                pending.prefetch(keys[i]);
+            policy_->prefetchMiss(keys[i]);
         }
 
         // Phase 3 — decide + mutate, in block order. Policy
@@ -405,21 +388,15 @@ Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
                             occupancy_->recordWrites(req.time, 1);
                     }
                 }
-                if (policy_)
-                    policy_->onHit(access);
-                else
-                    staged[i] = access; // discrete selector
+                policy_->onHit(access);
                 continue;
             }
 
-            // Miss. Discrete selectors observe the access (SieveStore-D
-            // logs *accesses*, not misses); continuous policies sieve
-            // it.
-            if (selector_) {
-                staged[i] = access;
-                continue;
-            }
-            if (pending.contains(block))
+            // Miss: the policy sieves it (an epoch-batched policy
+            // counts it and bypasses). The pending probe runs only
+            // while an allocation is in flight; the set can fill
+            // mid-request, so the emptiness check is per block.
+            if (!pending.empty() && pending.contains(block))
                 continue; // allocation already in flight
             if (policy_->onMiss(access) == AllocDecision::Allocate) {
                 notePending(block);
@@ -428,9 +405,6 @@ Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
                 pushAlloc(PendingAlloc{access.completion, block, new_unit});
             }
         }
-        if (selector_)
-            selector_->observeBatch(
-                std::span<const trace::BlockAccess>(staged, n));
     }
 }
 
@@ -481,37 +455,35 @@ Appliance::finishDay(int day)
     drainAllocations(day_end - 1);
     flushStorage();
 
-    // Self-tuning epoch: after the day's allocations have drained,
-    // let the sieve close its shadow epoch (the adaptive sieve may
-    // switch thresholds here) and record the outcome in the day's
-    // tuning columns. Thresholds are model-side data, so the columns
-    // stay bit-identical across storage backends and shard layouts.
-    if (policy_) {
-        const std::optional<SieveTuning> before = policy_->tuning();
+    // Day close, after the day's allocations have drained: the
+    // policy closes its epoch. A self-tuning sieve may switch
+    // thresholds here; record the outcome in the day's tuning
+    // columns. Thresholds are model-side data, so the columns stay
+    // bit-identical across storage backends and shard layouts.
+    const std::optional<SieveTuning> before = policy_->tuning();
+    const std::optional<std::vector<BlockId>> next_set =
         policy_->onDayClose(day);
-        const std::optional<SieveTuning> after = policy_->tuning();
-        if (after && day >= 0) {
-            const size_t slot = static_cast<size_t>(day);
-            if (slot >= reports.size())
-                reports.resize(slot + 1);
-            DailyReport &rep = reports[slot];
-            rep.tune_t1 = after->t1;
-            rep.tune_t2 = after->t2;
-            rep.tune_switches =
-                after->switches - (before ? before->switches : 0);
-        }
+    const std::optional<SieveTuning> after = policy_->tuning();
+    if (after && day >= 0) {
+        const size_t slot = static_cast<size_t>(day);
+        if (slot >= reports.size())
+            reports.resize(slot + 1);
+        DailyReport &rep = reports[slot];
+        rep.tune_t1 = after->t1;
+        rep.tune_t2 = after->t2;
+        rep.tune_switches =
+            after->switches - (before ? before->switches : 0);
     }
 
-    if (!selector_)
+    if (!next_set)
         return;
 
-    // Epoch boundary: select, batch-install with cancellation, and
-    // attribute the moves to the day they serve.
-    const std::vector<BlockId> next_set = selector_->endOfEpoch();
+    // Epoch boundary: batch-install the policy's set with
+    // cancellation, and attribute the moves to the day they serve.
     const cache::BatchReplaceResult moved =
-        backend_ ? cache_.batchReplace(next_set, &batch_alloc_scratch_,
+        backend_ ? cache_.batchReplace(*next_set, &batch_alloc_scratch_,
                                        &batch_evict_scratch_)
-                 : cache_.batchReplace(next_set);
+                 : cache_.batchReplace(*next_set);
 
     const size_t serve_day = static_cast<size_t>(day) + 1;
     if (serve_day >= reports.size())
@@ -560,22 +532,18 @@ Appliance::occupancy() const
 const char *
 Appliance::policyName() const
 {
-    return policy_ ? policy_->name() : selector_->name();
+    return policy_->name();
 }
 
 uint64_t
 Appliance::metastateBytes() const
 {
-    return policy_ ? policy_->metastateBytes()
-                   : selector_->metastateBytes();
+    return policy_->metastateBytes();
 }
 
 void
 Appliance::checkInvariants() const
 {
-    // Exactly one allocation mechanism.
-    SIEVE_CHECK((policy_ != nullptr) != (selector_ != nullptr),
-                "appliance must have exactly one of policy / selector");
     cache_.checkInvariants();
 
     // Every in-flight allocation is tracked in both structures, and
@@ -640,10 +608,7 @@ Appliance::checkInvariants() const
                         model_w + t.batch_moved_blocks));
     }
 
-    if (policy_)
-        policy_->checkInvariants();
-    if (selector_)
-        selector_->checkInvariants();
+    policy_->checkInvariants();
 }
 
 } // namespace core

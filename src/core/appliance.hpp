@@ -19,6 +19,10 @@
  *    are excluded from drive-occupancy by default ("SieveStore-D
  *    assumes that batch allocation can be done during periods of low
  *    disk activity").
+ *
+ * Both kinds decide through one interface, core::AllocationPolicy:
+ * onMiss answers per access, and an epoch set returned from
+ * onDayClose is what finishDay batch-installs.
  */
 
 #ifndef SIEVESTORE_CORE_APPLIANCE_HPP
@@ -32,7 +36,6 @@
 
 #include "cache/block_cache.hpp"
 #include "core/alloc_policy.hpp"
-#include "core/discrete.hpp"
 #include "ssd/occupancy.hpp"
 #include "storage/backend.hpp"
 #include "trace/request.hpp"
@@ -157,27 +160,23 @@ struct DailyReport
 DailyReport sumReports(const std::vector<DailyReport> &days);
 
 /**
- * The appliance simulator. Construct with either a continuous
- * AllocationPolicy (SieveStore-C, AOD, WMNA, RandSieve-C) or a
- * DiscreteSelector (SieveStore-D, RandSieve-BlkD, Ideal); drive it with
- * time-ordered requests and day-boundary callbacks (the sim::
- * drivers do this).
+ * The appliance simulator. Construct with an AllocationPolicy —
+ * continuous (SieveStore-C, AOD, WMNA, RandSieve-C, the adaptive sieve)
+ * or epoch-batched (SieveStore-D, RandSieve-BlkD, Ideal); drive it with
+ * time-ordered requests and day-boundary callbacks (the sim:: drivers
+ * do this).
  */
 class Appliance
 {
   public:
     /**
-     * Continuous-allocation appliance consulting `policy` on every
-     * miss. Every continuous policy runs through here: the built-in
-     * kinds sim::makeAppliance builds, the Section 7 auto-tuner, and
-     * custom or instrumented test policies alike.
+     * Appliance consulting `policy` on every access and at every day
+     * close. Every policy runs through here: the built-in kinds
+     * sim::makeAppliance builds, the Section 7 auto-tuner, and custom
+     * or instrumented test policies alike.
      */
     Appliance(ApplianceConfig config,
               std::unique_ptr<AllocationPolicy> policy);
-
-    /** Discrete-allocation appliance. */
-    Appliance(ApplianceConfig config,
-              std::unique_ptr<DiscreteSelector> selector);
 
     /**
      * Preload the cache before replay (the oracle's first-day set).
@@ -195,14 +194,14 @@ class Appliance
      * boundaries). Semantically identical to calling processRequest on
      * each element; the batch form hoists the day-report lookup out of
      * the per-request path and, when the path is the production one
-     * (a continuous policy, the flat cache, no occupancy tracker),
-     * arms SIEVE_ASSERT_NO_ALLOC over the whole batch.
+     * (the flat cache, no occupancy tracker), arms
+     * SIEVE_ASSERT_NO_ALLOC over the whole batch.
      */
     void processBatch(std::span<const trace::Request> batch);
 
     /**
-     * Close calendar day `day`: drain allocations due within it and,
-     * for discrete appliances, run the epoch boundary — the new block
+     * Close calendar day `day`: drain allocations due within it and
+     * call the policy's onDayClose. When it returns an epoch set, the
      * set is installed and its moves attributed to day + 1. Days must
      * strictly increase across calls (checked); the parallel sharded
      * driver relies on this monotone day cursor to audit that every
@@ -234,7 +233,7 @@ class Appliance
         return backend_.get();
     }
 
-    /** Policy / selector name. */
+    /** Policy name. */
     const char *policyName() const;
 
     const cache::BlockCache &blockCache() const { return cache_; }
@@ -264,27 +263,26 @@ class Appliance
      * Every engine combination runs the same three phases over each
      * chunk of <= cache::BlockCache::kProbeBatch blocks: probe-gather
      * (one BlockCache::probeBatch resolves the chunk's residency),
-     * sieve-prefetch (pending-set lines plus
-     * AllocationPolicy::prefetchMiss for the gathered misses of a
-     * continuous appliance), then an in-order decide pass that applies
-     * the hit transitions, consults the sieve or stages the selector's
-     * observations, and charges the SSD. Nothing mutates the cache
-     * index within a request (allocations drain between requests),
-     * so the gathered pointers and hit/miss partition match what
-     * per-block probes would see.
+     * sieve-prefetch (pending-set lines while an allocation is in
+     * flight, plus AllocationPolicy::prefetchMiss for the gathered
+     * misses and prefetchHit for the gathered hits), then an in-order
+     * decide pass that applies the hit transitions, consults the
+     * policy and charges the SSD. Nothing mutates the cache index
+     * within a request (allocations drain between requests), so the
+     * gathered pointers and hit/miss partition match what per-block
+     * probes would see.
      */
     void processRequestInto(const trace::Request &req, DailyReport &rep);
     /**
-     * True for the production request path: a continuous policy, the
-     * flat cache, no occupancy tracker. These are the configurations
-     * whose hot loop is claimed — and then enforced — to be
-     * allocation-free per batch, so every AllocationPolicy's onMiss /
-     * onHit / prefetchMiss must be too (growth points exempt
-     * themselves). Discrete selectors, custom replacement policies
+     * True for the production request path: the flat cache, no
+     * occupancy tracker. These are the configurations whose hot loop
+     * is claimed — and then enforced — to be allocation-free per
+     * batch, so every AllocationPolicy's onMiss / onHit and prefetch
+     * hints must be too, epoch-batched counters included
+     * (growth points exempt themselves). Custom replacement policies
      * and the occupancy tracker make no such promise.
      */
     bool flatEnginesOnly() const;
-    void initOccupancy();
 
     /**
      * Storage observation staging: the request path appends one
@@ -304,14 +302,13 @@ class Appliance
     void flushStorageTrims();
     /** Drain all three stage arrays. */
     void flushStorage();
-    /** Stage page-coalesced writes and trims for the discrete batch
+    /** Stage page-coalesced writes and trims for the epoch batch
      * move captured in the batch scratch vectors, at time `t`. */
     void stageBatchMove(util::TimeUs t);
 
     ApplianceConfig cfg;
-    /** Continuous sieve (exactly one of policy_ / selector_ is set). */
+    /** The allocation policy (never null). */
     std::unique_ptr<AllocationPolicy> policy_;
-    std::unique_ptr<DiscreteSelector> selector_;
     cache::BlockCache cache_;
     std::unique_ptr<ssd::DriveOccupancyTracker> occupancy_;
 

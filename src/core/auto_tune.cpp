@@ -41,12 +41,12 @@ AutoTunedSievePolicy::onHit(const trace::BlockAccess &access)
     sieve->onHit(access);
 }
 
-void
+std::optional<std::vector<trace::BlockId>>
 AutoTunedSievePolicy::onDayClose(int day)
 {
     (void)day;
     if (!active_today)
-        return;
+        return std::nullopt;
     const double budget_blocks =
         tune.churn_budget * static_cast<double>(tune.cache_blocks);
     const double allocs = static_cast<double>(allocs_today);
@@ -60,6 +60,7 @@ AutoTunedSievePolicy::onDayClose(int day)
     history.push_back(t2);
     active_today = false;
     allocs_today = 0;
+    return std::nullopt;
 }
 
 uint64_t
@@ -114,7 +115,7 @@ void
 AdaptiveSievePolicy::recenter()
 {
     const int64_t t1 = t1_, t2 = t2_;
-    const int64_t s1 = cfg_.t1_step, s2 = cfg_.t2_step;
+    const int64_t s1 = kT1Step, s2 = kT2Step;
     const std::pair<uint32_t, uint32_t> settings[5] = {
         {t1_, t2_},
         {clampT1(t1 - s1), t2_},
@@ -174,7 +175,7 @@ AdaptiveSievePolicy::prefetchMiss(trace::BlockId block) const
 // SIEVE_MAY_ALLOC: the per-day-close history append — once per
 // simulated day, off the batch no-alloc path (finishDay runs between
 // processBatch calls).
-void SIEVE_MAY_ALLOC
+std::optional<std::vector<trace::BlockId>> SIEVE_MAY_ALLOC
 AdaptiveSievePolicy::onDayClose(int day)
 {
     (void)day;
@@ -193,6 +194,7 @@ AdaptiveSievePolicy::onDayClose(int day)
     }
     history_.emplace_back(t1_, t2_);
     recenter();
+    return std::nullopt;
 }
 
 std::optional<SieveTuning>

@@ -64,7 +64,8 @@ class AutoTunedSievePolicy : public AllocationPolicy
      * and the history stay untouched — so idle days never count as
      * "far under budget".
      */
-    void onDayClose(int day) override;
+    std::optional<std::vector<trace::BlockId>>
+    onDayClose(int day) override;
     const char *name() const override { return "SieveStore-C/auto"; }
     uint64_t metastateBytes() const override;
 
@@ -112,11 +113,6 @@ struct AdaptiveSieveConfig
     uint64_t ghost_budget = 1 << 15;
     /** Shadow sieves' IMCT size (metastate cost per candidate). */
     size_t imct_slots = 1 << 14;
-    /** Neighborhood radius: candidate settings are the current
-     * (t1, t2) plus (t1 +- t1_step, t2) and (t1, t2 +- t2_step),
-     * clamped to the bounds below. */
-    uint32_t t1_step = 2;
-    uint32_t t2_step = 1;
     uint32_t min_t1 = 1;
     uint32_t max_t1 = 64;
     uint32_t min_t2 = 1;
@@ -147,6 +143,12 @@ struct AdaptiveSieveConfig
 class AdaptiveSievePolicy : public AllocationPolicy
 {
   public:
+    /** Neighborhood radius: candidate settings are the current
+     * (t1, t2) plus (t1 +- kT1Step, t2) and (t1, t2 +- kT2Step),
+     * clamped to the config's bounds. */
+    static constexpr uint32_t kT1Step = 2;
+    static constexpr uint32_t kT2Step = 1;
+
     explicit AdaptiveSievePolicy(AdaptiveSieveConfig config = {});
 
     AllocDecision onMiss(const trace::BlockAccess &access) override;
@@ -156,7 +158,8 @@ class AdaptiveSievePolicy : public AllocationPolicy
     void prefetchMiss(trace::BlockId block) const override;
     const char *name() const override { return "SieveStore-C/adaptive"; }
     uint64_t metastateBytes() const override;
-    void onDayClose(int day) override;
+    std::optional<std::vector<trace::BlockId>>
+    onDayClose(int day) override;
     std::optional<SieveTuning> tuning() const override;
     void checkInvariants() const override;
 

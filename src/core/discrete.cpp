@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/popularity.hpp"
 #include "util/check.hpp"
 #include "util/footprint.hpp"
 #include "util/logging.hpp"
@@ -30,43 +29,41 @@ AdbaSelector::AdbaSelector(uint64_t threshold,
         util::fatal("ADBA threshold must be >= 1");
 }
 
-// SIEVE_MAY_ALLOC: the selector's disk log and counters grow
-// amortized buffers. A configured selector makes
-// Appliance::flatEnginesOnly() false, so the batch-level no-alloc
-// region never arms over this path.
-void SIEVE_MAY_ALLOC
-AdbaSelector::observe(const trace::BlockAccess &access)
+void
+AdbaSelector::countAccess(BlockId block)
 {
     if (disk_log)
-        disk_log->log(access.block);
+        disk_log->log(block);
     else
-        mem_counts.observe(access.block);
+        mem_counts.observe(block);
+}
+
+AllocDecision
+AdbaSelector::onMiss(const trace::BlockAccess &access)
+{
+    countAccess(access.block);
+    return AllocDecision::Bypass;
 }
 
 void
-AdbaSelector::observeBatch(std::span<const trace::BlockAccess> accesses)
+AdbaSelector::onHit(const trace::BlockAccess &access)
 {
-    if (disk_log) {
-        // The disk backend appends to a sequential log — no table to
-        // hash ahead into; the scalar loop is already streaming.
-        DiscreteSelector::observeBatch(accesses);
-        return;
-    }
-    // In-memory backend: strip the accesses down to block ids in
-    // stack-sized chunks and run the counter's hash-ahead batch path.
-    constexpr size_t kChunk = util::FlatIndex<uint64_t>::kBatchChunk;
-    BlockId blocks[kChunk];
-    for (size_t base = 0; base < accesses.size(); base += kChunk) {
-        const size_t n = std::min(kChunk, accesses.size() - base);
-        for (size_t i = 0; i < n; ++i)
-            blocks[i] = accesses[base + i].block;
-        mem_counts.observeBatch(std::span<const BlockId>(blocks, n));
-    }
+    countAccess(access.block);
 }
 
-std::vector<BlockId>
-AdbaSelector::endOfEpoch()
+void
+AdbaSelector::prefetchMiss(BlockId block) const
 {
+    // The disk backend appends to a sequential log: no table line to
+    // pull ahead.
+    if (!disk_log)
+        mem_counts.prefetch(block);
+}
+
+std::optional<std::vector<BlockId>>
+AdbaSelector::onDayClose(int day)
+{
+    (void)day;
     std::vector<BlockId> selected;
     if (disk_log) {
         for (const auto &bc : disk_log->reduce(threshold_))
@@ -91,13 +88,6 @@ AdbaSelector::metastateBytes() const
 }
 
 void
-AdbaSelector::reserveEpochBlocks(size_t blocks)
-{
-    if (!disk_log)
-        mem_counts.reserve(blocks);
-}
-
-void
 AdbaSelector::checkInvariants() const
 {
     SIEVE_CHECK(threshold_ >= 1, "ADBA threshold must be >= 1");
@@ -117,15 +107,29 @@ RandomBlockSelector::RandomBlockSelector(double fraction_, uint64_t seed)
         util::fatal("RandSieve-BlkD fraction must be in (0, 1]");
 }
 
+AllocDecision
+RandomBlockSelector::onMiss(const trace::BlockAccess &access)
+{
+    seen.observe(access.block);
+    return AllocDecision::Bypass;
+}
+
 void
-RandomBlockSelector::observe(const trace::BlockAccess &access)
+RandomBlockSelector::onHit(const trace::BlockAccess &access)
 {
     seen.observe(access.block);
 }
 
-std::vector<BlockId>
-RandomBlockSelector::endOfEpoch()
+void
+RandomBlockSelector::prefetchMiss(BlockId block) const
 {
+    seen.prefetch(block);
+}
+
+std::optional<std::vector<BlockId>>
+RandomBlockSelector::onDayClose(int day)
+{
+    (void)day;
     // Deterministic ordering before sampling so results do not depend
     // on hash-table iteration order.
     std::vector<BlockId> all = seen.sortedBlocks();
@@ -151,12 +155,6 @@ RandomBlockSelector::metastateBytes() const
 }
 
 void
-RandomBlockSelector::reserveEpochBlocks(size_t blocks)
-{
-    seen.reserve(blocks);
-}
-
-void
 RandomBlockSelector::checkInvariants() const
 {
     SIEVE_CHECK(fraction > 0.0 && fraction <= 1.0,
@@ -164,69 +162,23 @@ RandomBlockSelector::checkInvariants() const
     seen.checkInvariants();
 }
 
-TopPercentSelector::TopPercentSelector(double fraction_)
-    : fraction(fraction_)
-{
-    if (fraction <= 0.0 || fraction > 1.0)
-        util::fatal("TopPercentSelector fraction must be in (0, 1]");
-}
-
-void
-TopPercentSelector::observe(const trace::BlockAccess &access)
-{
-    counts.observe(access.block);
-}
-
-std::vector<BlockId>
-TopPercentSelector::endOfEpoch()
-{
-    analysis::PopularityProfile profile(counts.sortedByCount(), 1);
-    std::vector<BlockId> top = profile.topBlocks(fraction);
-    counts.clear();
-    return top;
-}
-
-uint64_t
-TopPercentSelector::metastateBytes() const
-{
-    return counts.memoryBytes();
-}
-
-void
-TopPercentSelector::reserveEpochBlocks(size_t blocks)
-{
-    counts.reserve(blocks);
-}
-
-void
-TopPercentSelector::checkInvariants() const
-{
-    SIEVE_CHECK(fraction > 0.0 && fraction <= 1.0,
-                "TopPercent fraction %f out of (0, 1]", fraction);
-    counts.checkInvariants();
-}
-
 OracleDaySelector::OracleDaySelector(
-        std::vector<std::vector<BlockId>> day_sets_, int first_day)
-    : day_sets(std::move(day_sets_)), next_day(first_day + 1)
+        std::vector<std::vector<BlockId>> day_sets_)
+    : day_sets(std::move(day_sets_))
 {
 }
 
-void
-OracleDaySelector::observe(const trace::BlockAccess &)
+std::optional<std::vector<BlockId>>
+OracleDaySelector::onDayClose(int day)
 {
-    // Nothing to learn: the oracle already knows the future.
-}
-
-std::vector<BlockId>
-OracleDaySelector::endOfEpoch()
-{
-    if (next_day < 0 ||
-        static_cast<size_t>(next_day) >= day_sets.size()) {
-        ++next_day;
-        return {};
-    }
-    return day_sets[static_cast<size_t>(next_day++)];
+    // Indexed by the day being served, not by a count of closes: the
+    // driver closes every day from the trace's first request on, and
+    // that first day may carry no top set at all (zero-length
+    // requests only).
+    const int64_t serve = static_cast<int64_t>(day) + 1;
+    if (serve < 0 || static_cast<uint64_t>(serve) >= day_sets.size())
+        return std::vector<BlockId>{};
+    return day_sets[static_cast<size_t>(serve)];
 }
 
 } // namespace core

@@ -1,78 +1,39 @@
 /**
  * @file
- * Discrete (epoch-batched) sieve selectors (Section 3.2).
+ * Epoch-batched (discrete) sieve policies (Section 3.2).
  *
  * SieveStore-D performs no online allocation: every access is observed
- * (logged), and at each epoch boundary the selector returns the block
+ * (logged), and at each epoch boundary the policy returns the block
  * set to batch-allocate for the next epoch. The paper's variant selects
  * by access count (ADBA: access-count based discrete batch-allocation,
  * threshold 10/day); the evaluation also uses a randomized selector
  * (RandSieve-BlkD) and the per-day oracle (top 1 % of blocks).
+ *
+ * All three are AllocationPolicy subclasses: onMiss and onHit count the
+ * access (onMiss always answers Bypass), prefetchMiss and prefetchHit
+ * pull the counter slot toward L1, and onDayClose returns the epoch
+ * set, which Appliance::finishDay installs with cancellation of
+ * retained blocks.
+ * Counting runs inside the appliance's batch no-alloc region; the
+ * counter's table growth and the access log's buffer growth, spill and
+ * compaction exempt themselves.
  */
 
 #ifndef SIEVESTORE_CORE_DISCRETE_HPP
 #define SIEVESTORE_CORE_DISCRETE_HPP
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/access_counter.hpp"
 #include "analysis/access_log.hpp"
+#include "core/alloc_policy.hpp"
 #include "trace/request.hpp"
 #include "util/random.hpp"
 
 namespace sievestore {
 namespace core {
-
-/** Epoch-batched allocation selector. */
-class DiscreteSelector
-{
-  public:
-    virtual ~DiscreteSelector() = default;
-
-    /** Observe one block access during the current epoch. */
-    virtual void observe(const trace::BlockAccess &access) = 0;
-
-    /**
-     * Observe a batch of accesses from one request. Semantically
-     * exactly N observe() calls in order (the default is that loop);
-     * selectors with hash-table epoch state override it to run the
-     * batched hash-ahead probe path (AdbaSelector's in-memory
-     * backend). The appliance's batched request path stages per-block
-     * observations and flushes them through here.
-     */
-    virtual void
-    observeBatch(std::span<const trace::BlockAccess> accesses)
-    {
-        for (const trace::BlockAccess &access : accesses)
-            observe(access);
-    }
-
-    /**
-     * Close the epoch: return the blocks to batch-allocate for the next
-     * epoch (descending priority; the cache truncates to capacity) and
-     * reset the selector's epoch state.
-     */
-    virtual std::vector<trace::BlockId> endOfEpoch() = 0;
-
-    virtual const char *name() const = 0;
-
-    /** Approximate in-memory metastate footprint
-     * (util/footprint.hpp convention; excludes on-disk logs). */
-    virtual uint64_t metastateBytes() const { return 0; }
-
-    /**
-     * Pre-size epoch state for an expected per-epoch distinct-block
-     * population so steady-state observation never rehashes (the
-     * driver passes its hint through; default: no-op).
-     */
-    virtual void reserveEpochBlocks(size_t) {}
-
-    /** Audit selector invariants; aborts on violation (default: none). */
-    virtual void checkInvariants() const {}
-};
 
 /**
  * SieveStore-D's ADBA selector: blocks whose epoch access count meets
@@ -81,7 +42,7 @@ class DiscreteSelector
  * describes, with metastate never on the access critical path — or an
  * in-memory counter for fast simulation sweeps.
  */
-class AdbaSelector : public DiscreteSelector
+class AdbaSelector : public AllocationPolicy
 {
   public:
     /** In-memory counting backend. */
@@ -91,17 +52,26 @@ class AdbaSelector : public DiscreteSelector
     AdbaSelector(uint64_t threshold, const std::string &log_directory,
                  analysis::AccessLogConfig log_config = {});
 
-    void observe(const trace::BlockAccess &access) override;
-    void observeBatch(std::span<const trace::BlockAccess> accesses) override;
-    std::vector<trace::BlockId> endOfEpoch() override;
+    AllocDecision onMiss(const trace::BlockAccess &access) override;
+    void onHit(const trace::BlockAccess &access) override;
+    void prefetchMiss(trace::BlockId block) const override;
+    void
+    prefetchHit(trace::BlockId block) const override
+    {
+        AdbaSelector::prefetchMiss(block);
+    }
+    std::optional<std::vector<trace::BlockId>>
+    onDayClose(int day) override;
     const char *name() const override { return "SieveStore-D"; }
     uint64_t metastateBytes() const override;
-    void reserveEpochBlocks(size_t blocks) override;
     void checkInvariants() const override;
 
     uint64_t threshold() const { return threshold_; }
 
   private:
+    /** Count one access in the active backend. */
+    void countAccess(trace::BlockId block);
+
     uint64_t threshold_;
     std::unique_ptr<analysis::AccessLog> disk_log;
     /** In-memory backend: flat per-block epoch counts. */
@@ -109,17 +79,24 @@ class AdbaSelector : public DiscreteSelector
 };
 
 /** RandSieve-BlkD: a uniformly random 1 % of the epoch's blocks. */
-class RandomBlockSelector : public DiscreteSelector
+class RandomBlockSelector : public AllocationPolicy
 {
   public:
     explicit RandomBlockSelector(double fraction = 0.01,
                                  uint64_t seed = 11);
 
-    void observe(const trace::BlockAccess &access) override;
-    std::vector<trace::BlockId> endOfEpoch() override;
+    AllocDecision onMiss(const trace::BlockAccess &access) override;
+    void onHit(const trace::BlockAccess &access) override;
+    void prefetchMiss(trace::BlockId block) const override;
+    void
+    prefetchHit(trace::BlockId block) const override
+    {
+        RandomBlockSelector::prefetchMiss(block);
+    }
+    std::optional<std::vector<trace::BlockId>>
+    onDayClose(int day) override;
     const char *name() const override { return "RandSieve-BlkD"; }
     uint64_t metastateBytes() const override;
-    void reserveEpochBlocks(size_t blocks) override;
     void checkInvariants() const override;
 
   private:
@@ -130,55 +107,33 @@ class RandomBlockSelector : public DiscreteSelector
 };
 
 /**
- * Causal top-fraction selector: at each epoch boundary, the
- * most-accessed `fraction` of the *finished* epoch's blocks is
- * installed for the next epoch. This is what ADBA would be with a
- * rank-based (rather than threshold-based) criterion; used in
- * sensitivity ablations.
- */
-class TopPercentSelector : public DiscreteSelector
-{
-  public:
-    explicit TopPercentSelector(double fraction = 0.01);
-
-    void observe(const trace::BlockAccess &access) override;
-    std::vector<trace::BlockId> endOfEpoch() override;
-    const char *name() const override { return "TopPercent-D"; }
-    uint64_t metastateBytes() const override;
-    void reserveEpochBlocks(size_t blocks) override;
-    void checkInvariants() const override;
-
-  private:
-    double fraction;
-    analysis::AccessCounter counts;
-};
-
-/**
  * The per-day oracle (Section 5.1's "ideal"): holds each day's top 1 %
  * of blocks *during that day*, which requires future knowledge. The
  * per-day sets come from a profiling pass over the trace
  * (sim::perDayTopBlocks); the first day's set must be preloaded into
  * the appliance (Appliance::preload) before replay.
  */
-class OracleDaySelector : public DiscreteSelector
+class OracleDaySelector : public AllocationPolicy
 {
   public:
-    /**
-     * @param day_sets  day_sets[d] = blocks to hold during calendar
-     *                  day d
-     * @param first_day calendar day of the first endOfEpoch() call
-     *                  (i.e. the first day with traffic)
-     */
-    OracleDaySelector(std::vector<std::vector<trace::BlockId>> day_sets,
-                      int first_day);
+    /** @param day_sets day_sets[d] = blocks to hold during calendar
+     *                  day d */
+    explicit OracleDaySelector(
+        std::vector<std::vector<trace::BlockId>> day_sets);
 
-    void observe(const trace::BlockAccess &access) override;
-    std::vector<trace::BlockId> endOfEpoch() override;
+    /** Nothing to learn: the oracle already knows the future. */
+    AllocDecision
+    onMiss(const trace::BlockAccess &) override
+    {
+        return AllocDecision::Bypass;
+    }
+    /** day_sets[day + 1]; an empty set past either end of the trace. */
+    std::optional<std::vector<trace::BlockId>>
+    onDayClose(int day) override;
     const char *name() const override { return "Ideal"; }
 
   private:
     std::vector<std::vector<trace::BlockId>> day_sets;
-    int next_day;
 };
 
 } // namespace core

@@ -1,6 +1,7 @@
 #include "sim/experiment.hpp"
 
 #include "analysis/popularity.hpp"
+#include "core/discrete.hpp"
 #include "core/rand_sieve.hpp"
 #include "core/unsieved.hpp"
 #include "util/logging.hpp"
@@ -18,30 +19,22 @@ makeAppliance(const PolicyConfig &policy,
       case PolicyKind::Ideal:
         util::fatal("PolicyKind::Ideal requires a profiling pass; "
                     "use makeIdealAppliance()");
-      case PolicyKind::SieveStoreD: {
-        auto selector =
-            policy.adba_disk_log
-                ? std::make_unique<core::AdbaSelector>(
-                      policy.adba_threshold, policy.adba_log_dir)
-                : std::make_unique<core::AdbaSelector>(
-                      policy.adba_threshold);
-        if (policy.expected_epoch_blocks)
-            selector->reserveEpochBlocks(policy.expected_epoch_blocks);
-        return std::make_unique<Appliance>(appliance,
-                                           std::move(selector));
-      }
+      case PolicyKind::SieveStoreD:
+        return std::make_unique<Appliance>(
+            appliance, policy.adba_disk_log
+                           ? std::make_unique<core::AdbaSelector>(
+                                 policy.adba_threshold,
+                                 policy.adba_log_dir)
+                           : std::make_unique<core::AdbaSelector>(
+                                 policy.adba_threshold));
       case PolicyKind::SieveStoreC:
         return std::make_unique<Appliance>(
             appliance,
             std::make_unique<core::SieveStoreCPolicy>(policy.sieve_c));
-      case PolicyKind::RandSieveBlkD: {
-        auto selector = std::make_unique<core::RandomBlockSelector>(
-            policy.rand_fraction, policy.seed);
-        if (policy.expected_epoch_blocks)
-            selector->reserveEpochBlocks(policy.expected_epoch_blocks);
-        return std::make_unique<Appliance>(appliance,
-                                           std::move(selector));
-      }
+      case PolicyKind::RandSieveBlkD:
+        return std::make_unique<Appliance>(
+            appliance, std::make_unique<core::RandomBlockSelector>(
+                           policy.rand_fraction, policy.seed));
       case PolicyKind::RandSieveC:
         return std::make_unique<Appliance>(
             appliance, std::make_unique<core::RandSieveCPolicy>(
@@ -101,7 +94,10 @@ std::unique_ptr<core::Appliance>
 makeIdealAppliance(trace::TraceReader &reader, const PolicyConfig &policy,
                    const core::ApplianceConfig &appliance)
 {
-    auto sets = perDayTopBlocks(reader, policy.ideal_fraction);
+    (void)policy; // the oracle has no tunables
+    auto sets = perDayTopBlocks(reader, kIdealFraction);
+    // The first day with a non-empty top set is preloaded; every later
+    // day's set is installed by the oracle's onDayClose.
     int first_day = -1;
     for (size_t d = 0; d < sets.size(); ++d) {
         if (!sets[d].empty()) {
@@ -113,8 +109,8 @@ makeIdealAppliance(trace::TraceReader &reader, const PolicyConfig &policy,
                          ? sets[static_cast<size_t>(first_day)]
                          : std::vector<trace::BlockId>{};
     auto app = std::make_unique<core::Appliance>(
-        appliance, std::make_unique<core::OracleDaySelector>(
-                       std::move(sets), first_day));
+        appliance,
+        std::make_unique<core::OracleDaySelector>(std::move(sets)));
     if (first_day >= 0)
         app->preload(first_set, first_day);
     return app;

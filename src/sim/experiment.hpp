@@ -5,10 +5,11 @@
  * a summary structure for occupancy-derived cost metrics.
  *
  * makeAppliance is the one place a PolicyKind turns into a policy: it
- * constructs the AllocationPolicy or DiscreteSelector directly and
- * hands it to the Appliance. A policy's display name comes from the
- * policy itself (Appliance::policyName()). Adding a built-in kind is
- * one policy class, one PolicyKind and one factory case.
+ * constructs the core::AllocationPolicy — continuous or epoch-batched
+ * alike — directly and hands it to the Appliance's one constructor. A
+ * policy's display name comes from the policy itself
+ * (Appliance::policyName()). Adding a built-in kind is one policy
+ * class, one PolicyKind and one factory case.
  */
 
 #ifndef SIEVESTORE_SIM_EXPERIMENT_HPP
@@ -45,6 +46,9 @@ enum class PolicyKind {
     Adaptive,
 };
 
+/** The oracle's per-day top fraction (paper: 1 %). */
+constexpr double kIdealFraction = 0.01;
+
 /** Factory parameters for one policy instance. */
 struct PolicyConfig
 {
@@ -57,8 +61,6 @@ struct PolicyConfig
     std::string adba_log_dir = "/tmp/sievestore-adba";
     /** RandSieve allocation fraction/probability (paper: 1 %). */
     double rand_fraction = 0.01;
-    /** Ideal selector's top fraction (paper: 1 %). */
-    double ideal_fraction = 0.01;
     /** SieveStore-C tunables (thresholds, window, IMCT size). Also
      * seeds the adaptive sieve's production setting. */
     core::SieveStoreCConfig sieve_c;
@@ -68,13 +70,6 @@ struct PolicyConfig
     core::AdaptiveSieveConfig adaptive;
     /** Seed for randomized policies. */
     uint64_t seed = 17;
-    /**
-     * Expected distinct blocks per epoch; when non-zero the factory
-     * pre-sizes the discrete selector's counting state
-     * (DiscreteSelector::reserveEpochBlocks) so replay never rehashes
-     * it. Zero leaves the selector growing on demand.
-     */
-    uint64_t expected_epoch_blocks = 0;
 };
 
 /**
@@ -95,8 +90,10 @@ perDayTopBlocks(trace::TraceReader &reader, double fraction);
 
 /**
  * Build the Section 5.1 "ideal" appliance: a profiling pass computes
- * each day's top blocks; an OracleDaySelector swaps them in at day
- * boundaries and the first day's set is preloaded.
+ * each day's top kIdealFraction of blocks; an OracleDaySelector
+ * returns day d + 1's set when day d closes, and the first day with a
+ * non-empty set is preloaded. The oracle has no tunables, so `policy`
+ * is not read.
  */
 std::unique_ptr<core::Appliance>
 makeIdealAppliance(trace::TraceReader &reader,

@@ -180,8 +180,6 @@ struct FileBackendConfig
         Uring,
         Sync
     } engine = Engine::Auto;
-    /** io_uring submission-queue depth. */
-    unsigned ring_depth = 64;
 };
 
 /** Backend selection carried by core::ApplianceConfig. */

@@ -127,7 +127,7 @@ FileBackend::FileBackend(const FileBackendConfig &config)
         resolveEngine(config.engine);
 #ifdef SIEVE_HAVE_LIBURING
     if (engine != FileBackendConfig::Engine::Sync)
-        use_uring_ = initUring(std::max(1u, config.ring_depth));
+        use_uring_ = initUring();
 #endif
     stats_.io_uring = use_uring_;
     if (engine == FileBackendConfig::Engine::Uring && !use_uring_)
@@ -347,26 +347,25 @@ FileBackend::checkInvariants() const
 #ifdef SIEVE_HAVE_LIBURING
 
 SIEVE_MAY_ALLOC bool
-FileBackend::initUring(unsigned depth)
+FileBackend::initUring()
 {
     auto *ring = new struct io_uring;
-    if (io_uring_queue_init(depth, ring, 0) < 0) {
+    if (io_uring_queue_init(kRingDepth, ring, 0) < 0) {
         // Kernel without io_uring (or seccomp-filtered): fall back.
         delete ring;
         return false;
     }
     void *bufs = nullptr;
     if (posix_memalign(&bufs, trace::kPageBytes,
-                       static_cast<size_t>(depth) *
+                       static_cast<size_t>(kRingDepth) *
                            trace::kPageBytes) != 0) {
         io_uring_queue_exit(ring);
         delete ring;
         return false;
     }
     std::memset(bufs, 0,
-                static_cast<size_t>(depth) * trace::kPageBytes);
+                static_cast<size_t>(kRingDepth) * trace::kPageBytes);
     uring_ = ring;
-    ring_depth_ = depth;
     ring_bufs_ = static_cast<char *>(bufs);
     return true;
 }
@@ -376,10 +375,9 @@ FileBackend::runUring(std::span<const StorageOp> ops,
                       std::span<uint32_t> lat_ns, bool is_write)
 {
     auto *ring = static_cast<struct io_uring *>(uring_);
-    for (size_t base = 0; base < ops.size();
-         base += ring_depth_) {
+    for (size_t base = 0; base < ops.size(); base += kRingDepth) {
         const unsigned n = static_cast<unsigned>(std::min<size_t>(
-            ring_depth_, ops.size() - base));
+            kRingDepth, ops.size() - base));
         // Pre-fail the wave; successful completions overwrite, so a
         // lost sqe or unreaped cqe is counted as an error, not junk.
         for (unsigned i = 0; i < n; ++i)

@@ -19,7 +19,7 @@
  *    synchronous loop on the caller — the fallback CI exercises even
  *    on io_uring-capable hosts (SIEVE_STORAGE_ENGINE=sync).
  *  - io_uring (when liburing is found at configure time and the
- *    kernel accepts ring setup): batches are submitted ring_depth at
+ *    kernel accepts ring setup): batches are submitted kRingDepth at
  *    a time from the calling thread.
  *
  * Setup (file creation, buffer allocation, thread/ring start) is the
@@ -89,13 +89,14 @@ class FileBackend final : public Backend
     uint64_t slotOffset(const StorageOp &op) const;
 
 #ifdef SIEVE_HAVE_LIBURING
-    /** io_uring engine: submit up to ring_depth ops per wave. */
+    /** io_uring submission-queue depth: ops per wave. */
+    static constexpr unsigned kRingDepth = 64;
+    /** io_uring engine: submit up to kRingDepth ops per wave. */
     void runUring(std::span<const StorageOp> ops,
                   std::span<uint32_t> lat_ns, bool is_write);
-    bool initUring(unsigned depth);
+    bool initUring();
     void *uring_ = nullptr; ///< struct io_uring, opaque here
-    unsigned ring_depth_ = 0;
-    char *ring_bufs_ = nullptr; ///< ring_depth 4 KB aligned buffers
+    char *ring_bufs_ = nullptr; ///< kRingDepth 4 KB aligned buffers
 #endif
 
     int fd_ = -1;

@@ -576,8 +576,9 @@ class FlatIndex
     }
 
     // SIEVE_MAY_ALLOC: amortized table growth. Guarded hot paths
-    // either pre-reserve (reserveEpochBlocks) or condition their
-    // region on hasCapacityFor(), so an armed guard never reaches a
+    // either pre-reserve, or check hasCapacityFor() and disarm the
+    // guard around a growing insert (Appliance::notePending,
+    // AccessCounter::observe), so an armed guard never reaches a
     // growing findOrInsert.
     void SIEVE_MAY_ALLOC
     rehash(size_t new_slots)

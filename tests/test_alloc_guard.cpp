@@ -5,12 +5,16 @@
  * the guard exists to enforce — the flat cache engine's steady state
  * runs entire op loops with zero allocations under every built-in
  * eviction policy. The appliance's batch region arms for every
- * continuous policy on a flat, occupancy-free appliance, injected
- * ones included.
+ * policy on a flat, occupancy-free appliance — continuous and
+ * epoch-batched, injected ones included.
  */
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "cache/replacement.hpp"
 #include "core/appliance.hpp"
 #include "core/auto_tune.hpp"
+#include "core/discrete.hpp"
 #include "core/imct.hpp"
 #include "core/mct.hpp"
 #include "core/windowed_counter.hpp"
@@ -29,9 +34,11 @@
 #include "util/sim_time.hpp"
 #include "util/spsc_queue.hpp"
 
+using sievestore::analysis::AccessLogConfig;
 using sievestore::cache::BlockCache;
 using sievestore::cache::EvictionKind;
 using sievestore::cache::EvictionSpec;
+using sievestore::core::AdbaSelector;
 using sievestore::core::AllocationPolicy;
 using sievestore::core::AllocDecision;
 using sievestore::core::Appliance;
@@ -42,6 +49,7 @@ using sievestore::core::Imct;
 using sievestore::core::Mct;
 using sievestore::core::SieveStoreCConfig;
 using sievestore::core::WindowSpec;
+using sievestore::trace::BlockId;
 using sievestore::trace::Request;
 using sievestore::util::AllocGuard;
 using sievestore::util::AllocGuardDisarm;
@@ -95,6 +103,78 @@ class AllocatingPolicy : public AllocationPolicy
     const char *name() const override { return "allocating"; }
 };
 
+/**
+ * An injected epoch-batched policy that breaks the contract: it
+ * installs blocks 0..7 of volume 1 for the next day and allocates on
+ * every hit.
+ */
+class AllocatingEpochPolicy : public AllocationPolicy
+{
+  public:
+    AllocDecision
+    onMiss(const sievestore::trace::BlockAccess &access) override
+    {
+        (void)access;
+        return AllocDecision::Bypass;
+    }
+
+    void
+    onHit(const sievestore::trace::BlockAccess &access) override
+    {
+        (void)access;
+        allocateSomething();
+    }
+
+    std::optional<std::vector<BlockId>>
+    onDayClose(int day) override
+    {
+        (void)day;
+        std::vector<BlockId> set;
+        for (uint64_t b = 0; b < 8; ++b)
+            set.push_back(sievestore::trace::makeBlockId(1, b));
+        return set;
+    }
+
+    const char *name() const override { return "allocating-epoch"; }
+};
+
+/** SieveStore-D that records whether its misses ran armed. */
+class ArmedProbeAdba : public AdbaSelector
+{
+  public:
+    using AdbaSelector::AdbaSelector;
+
+    AllocDecision
+    onMiss(const sievestore::trace::BlockAccess &access) override
+    {
+        if (AllocGuard::active())
+            ++armed_misses;
+        return AdbaSelector::onMiss(access);
+    }
+
+    uint64_t armed_misses = 0;
+};
+
+/** Three days over a hot set (12 reads per block per day, past
+ * ADBA's threshold) and a cold scatter, on volume 1. */
+std::vector<Request>
+epochTrace()
+{
+    std::vector<Request> reqs;
+    for (uint64_t day = 0; day < 3; ++day) {
+        for (uint64_t pass = 0; pass < 12; ++pass)
+            for (uint64_t i = 0; i < 16; ++i)
+                reqs.push_back(readRequest(
+                    sievestore::util::makeTime(day, 1 + pass, i),
+                    i * 8, 8));
+        for (uint64_t i = 0; i < 200; ++i)
+            reqs.push_back(readRequest(
+                sievestore::util::makeTime(day, 20, i),
+                100000 + day * 10000 + i * 8, 8));
+    }
+    return reqs;
+}
+
 } // namespace
 
 #ifndef SIEVE_ALLOC_GUARD_DISABLED
@@ -135,7 +215,7 @@ TEST(AllocGuardDeathTest, NestedRegionStaysArmedAfterInnerExit)
 
 TEST(AllocGuardDeathTest, InjectedPolicyAllocatingOnMissAborts)
 {
-    // The batch region arms for every continuous policy, not only the
+    // The batch region arms for every policy, not only the
     // built-in ones: an injected policy that allocates in onMiss
     // aborts inside processBatch.
     EXPECT_DEATH(
@@ -145,6 +225,74 @@ TEST(AllocGuardDeathTest, InjectedPolicyAllocatingOnMissAborts)
             app.processRequest(readRequest(0, 0, 8));
         },
         "AllocGuard");
+}
+
+TEST(AllocGuardDeathTest, InjectedEpochPolicyAllocatingOnHitAborts)
+{
+    // Epoch-batched policies run under the same armed region: once
+    // the day-0 close installs the policy's set, the day-1 hits reach
+    // its allocating onHit inside processBatch.
+    EXPECT_DEATH(
+        {
+            Appliance app(flatApplianceConfig(),
+                          std::make_unique<AllocatingEpochPolicy>());
+            app.processRequest(readRequest(0, 0, 8));
+            app.finishDay(0);
+            app.processRequest(
+                readRequest(sievestore::util::makeTime(1), 0, 8));
+        },
+        "AllocGuard");
+}
+
+TEST(AllocGuard, DiskLoggedAdbaSpillsAndCompactsUnderTheArmedRegion)
+{
+    // The disk-backed SieveStore-D appends, spills and compacts its
+    // access log from onMiss / onHit, inside the batch region; its
+    // growth points exempt themselves, and its selections match the
+    // in-memory counter's exactly.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("alloc_guard_adba_" + std::to_string(::getpid()));
+    AccessLogConfig log;
+    log.partitions = 2;
+    log.flush_threshold = 16;          // spill every 16 appends
+    log.compact_threshold_bytes = 256; // compact every 2nd spill
+    auto disk = std::make_unique<ArmedProbeAdba>(10, dir.string(), log);
+    const ArmedProbeAdba *probe = disk.get();
+    Appliance disk_app(flatApplianceConfig(), std::move(disk));
+    Appliance mem_app(flatApplianceConfig(),
+                      std::make_unique<AdbaSelector>(10));
+
+    sievestore::trace::VectorTrace disk_trace(epochTrace());
+    sievestore::trace::VectorTrace mem_trace(epochTrace());
+    sievestore::sim::runTrace(disk_trace, disk_app);
+    sievestore::sim::runTrace(mem_trace, mem_app);
+
+    // The last day's epoch is still on disk, already compacted into
+    // sorted run files.
+    bool compacted = false;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        compacted |= entry.path().extension() == ".run";
+    EXPECT_TRUE(compacted);
+    EXPECT_GT(probe->armed_misses, 0u);
+
+    ASSERT_EQ(disk_app.daily().size(), mem_app.daily().size());
+    for (size_t d = 0; d < disk_app.daily().size(); ++d) {
+        const auto &a = disk_app.daily()[d];
+        const auto &b = mem_app.daily()[d];
+        EXPECT_EQ(a.accesses, b.accesses) << "day " << d;
+        EXPECT_EQ(a.hits, b.hits) << "day " << d;
+        EXPECT_EQ(a.batch_moved_blocks, b.batch_moved_blocks)
+            << "day " << d;
+        EXPECT_EQ(a.ssd_read_ios, b.ssd_read_ios) << "day " << d;
+    }
+    // Days 1 and 2 serve the hot set installed at the previous close.
+    EXPECT_EQ(mem_app.daily()[1].hits, 12u * 16 * 8);
+    EXPECT_EQ(mem_app.totals().hits, 2u * 12 * 16 * 8);
+    EXPECT_EQ(mem_app.totals().allocation_write_blocks, 0u);
+
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
 }
 
 TEST(AllocGuard, AutoTunedSieveReplaysUnderTheArmedRegion)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/appliance.hpp"
+#include "core/discrete.hpp"
 #include "core/unsieved.hpp"
 #include "util/sim_time.hpp"
 
@@ -205,6 +206,60 @@ TEST(Appliance, EpochCancellationAvoidsRemoves)
     app.finishDay(1);
     app.finishTrace();
     EXPECT_EQ(app.totals().batch_moved_blocks, 8u); // retained, not moved
+}
+
+/** Injected policy: installs one fixed set at the day-0 close and has
+ * nothing to install afterwards. */
+class OneShotEpochPolicy : public AllocationPolicy
+{
+  public:
+    explicit OneShotEpochPolicy(std::vector<BlockId> set)
+        : set_(std::move(set))
+    {
+    }
+
+    AllocDecision
+    onMiss(const BlockAccess &) override
+    {
+        return AllocDecision::Bypass;
+    }
+
+    std::optional<std::vector<BlockId>>
+    onDayClose(int day) override
+    {
+        if (day != 0)
+            return std::nullopt;
+        return set_;
+    }
+
+    const char *name() const override { return "one-shot"; }
+
+  private:
+    std::vector<BlockId> set_;
+};
+
+TEST(Appliance, InjectedEpochSetInstallsAndNulloptKeepsTheCache)
+{
+    // Any AllocationPolicy may return an epoch set: the appliance
+    // installs it for day + 1. Returning nullopt leaves the cache as
+    // it stands, where an empty set would evict everything.
+    std::vector<BlockId> set;
+    for (uint64_t b = 0; b < 8; ++b)
+        set.push_back(makeBlockId(1, b));
+    Appliance app(smallConfig(),
+                  std::make_unique<OneShotEpochPolicy>(set));
+    app.processRequest(makeRequest(makeTime(0, 1), 0, 8, Op::Read));
+    app.finishDay(0);
+    app.processRequest(makeRequest(makeTime(1, 1), 0, 8, Op::Read));
+    app.finishDay(1);
+    app.processRequest(makeRequest(makeTime(2, 1), 0, 8, Op::Read));
+    app.finishTrace();
+    ASSERT_GE(app.daily().size(), 3u);
+    EXPECT_EQ(app.daily()[0].hits, 0u);
+    EXPECT_EQ(app.daily()[1].hits, 8u);
+    EXPECT_EQ(app.daily()[1].batch_moved_blocks, 8u);
+    EXPECT_EQ(app.daily()[2].hits, 8u);
+    EXPECT_EQ(app.daily()[2].batch_moved_blocks, 0u);
 }
 
 TEST(Appliance, PreloadInstallsBlocksAndCounts)

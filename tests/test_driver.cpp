@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/discrete.hpp"
 #include "core/unsieved.hpp"
 #include "sim/driver.hpp"
 #include "util/logging.hpp"

@@ -147,6 +147,29 @@ TEST(IdealAppliance, CapturesEachDaysTopBlocks)
     EXPECT_EQ(app->daily()[1].hits, 20u);
 }
 
+TEST(IdealAppliance, AlignsDaySetsWhenTheFirstDayHasNoTopSet)
+{
+    // Day 0 carries only a zero-length request, so its top set is
+    // empty and the first preloaded set is day 1's. The driver still
+    // closes day 0 first; closing it must install day 1's set, not
+    // day 2's, or every later day holds the wrong day's blocks.
+    std::vector<Request> reqs;
+    reqs.push_back(makeRequest(makeTime(0, 1), 0, 0));
+    for (uint64_t day = 1; day <= 3; ++day)
+        for (uint64_t i = 0; i < 4; ++i)
+            reqs.push_back(makeRequest(makeTime(day, 1, i), 100 * day, 1));
+    VectorTrace trace(std::move(reqs));
+
+    PolicyConfig pc;
+    pc.kind = PolicyKind::Ideal;
+    auto app = makeIdealAppliance(trace, pc, config());
+    runTrace(trace, *app);
+    ASSERT_GE(app->daily().size(), 4u);
+    EXPECT_EQ(app->daily()[0].accesses, 0u);
+    for (size_t day = 1; day <= 3; ++day)
+        EXPECT_EQ(app->daily()[day].hits, 4u) << "day " << day;
+}
+
 TEST(CostSummary, ReflectsOccupancy)
 {
     PolicyConfig pc;

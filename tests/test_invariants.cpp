@@ -210,7 +210,7 @@ TEST(InvariantAudit, SieveTwoTierAccountingUnderAliasing)
     sieve.checkInvariants();
 }
 
-// ---- discrete selector --------------------------------------------
+// ---- epoch-batched policy -----------------------------------------
 
 TEST(InvariantAudit, AdbaSelectorEpochCycle)
 {
@@ -218,21 +218,25 @@ TEST(InvariantAudit, AdbaSelectorEpochCycle)
     sel.checkInvariants();
     TimeUs t = util::makeTime(0, 1);
     for (int i = 0; i < 5; ++i)
-        sel.observe(missAt(42, t + uint64_t(i)));
+        EXPECT_EQ(sel.onMiss(missAt(42, t + uint64_t(i))),
+                  core::AllocDecision::Bypass);
     for (int i = 0; i < 2; ++i)
-        sel.observe(missAt(43, t + uint64_t(i)));
+        sel.onHit(missAt(43, t + uint64_t(i)));
     sel.checkInvariants();
     const uint64_t before = sel.metastateBytes();
-    const auto chosen = sel.endOfEpoch();
-    ASSERT_EQ(chosen.size(), 1u);
-    EXPECT_EQ(chosen[0], 42u);
+    const auto chosen = sel.onDayClose(0);
+    ASSERT_TRUE(chosen.has_value());
+    ASSERT_EQ(chosen->size(), 1u);
+    EXPECT_EQ((*chosen)[0], 42u);
     sel.checkInvariants(); // counts reset for the next epoch
     // The flat counting table keeps its slot arena across the epoch
     // boundary (so replay never rehashes mid-trace); footprint is
     // capacity-bound and must not grow from merely clearing.
     EXPECT_LE(sel.metastateBytes(), before);
     // But the entries themselves are gone: a fresh epoch starts empty.
-    EXPECT_TRUE(sel.endOfEpoch().empty());
+    const auto next = sel.onDayClose(1);
+    ASSERT_TRUE(next.has_value());
+    EXPECT_TRUE(next->empty());
 }
 
 // ---- appliance + sharded deployment, audited end to end -----------
@@ -284,6 +288,27 @@ TEST(InvariantAudit, ApplianceAuditedThroughDriver)
     app->checkInvariants();
     EXPECT_GT(app->totals().accesses, 0u);
     EXPECT_GT(app->totals().hits, 0u);
+}
+
+TEST(InvariantAudit, EpochBatchedApplianceAuditedThroughDriver)
+{
+    // SieveStore-D injected through the one (config, policy)
+    // constructor: the day-boundary audits cover the epoch install
+    // (cancellation, batch moves) and the selector's counting table.
+    trace::VectorTrace view(smallTrace());
+    core::ApplianceConfig ac;
+    ac.cache_blocks = 16; // smaller than the epoch set: truncates
+    core::Appliance app(ac, std::make_unique<core::AdbaSelector>(2));
+
+    sim::DriverOptions opts;
+    opts.check_invariants = true;
+    sim::runTrace(view, app, opts);
+    app.checkInvariants();
+    const core::DailyReport t = app.totals();
+    EXPECT_GT(t.accesses, 0u);
+    EXPECT_GT(t.hits, 0u);
+    EXPECT_EQ(t.allocation_write_blocks, 0u); // never allocates online
+    EXPECT_GT(t.batch_moved_blocks, 0u);
 }
 
 TEST(InvariantAudit, ShardedRunAuditedEndToEnd)

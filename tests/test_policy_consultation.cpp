@@ -77,7 +77,8 @@ TEST(PolicyConsultation, AodAllocatesEveryMissWmnaOnlyReads)
 /** One policy callback, as the recording policy saw it. */
 struct PolicyEvent
 {
-    char kind; ///< 'P' prefetchMiss, 'M' onMiss, 'H' onHit
+    char kind; ///< 'P' prefetchMiss, 'p' prefetchHit, 'M' onMiss,
+               ///< 'H' onHit
     trace::BlockId block;
 
     bool
@@ -131,8 +132,44 @@ class RecordingPolicy : public core::AllocationPolicy
 
     const char *name() const override { return "recording"; }
 
-  private:
+  protected:
     std::vector<PolicyEvent> *log_;
+};
+
+/**
+ * The epoch-batched shape of RecordingPolicy: logs the same callbacks
+ * plus prefetchHit (a counting policy pulls its hit lines too), always
+ * bypasses, and at the day-0 close returns the even blocks below 100
+ * as the next epoch's set.
+ */
+class RecordingEpochPolicy : public RecordingPolicy
+{
+  public:
+    using RecordingPolicy::RecordingPolicy;
+
+    AllocDecision
+    onMiss(const trace::BlockAccess &access) override
+    {
+        (void)RecordingPolicy::onMiss(access);
+        return AllocDecision::Bypass;
+    }
+
+    void
+    prefetchHit(trace::BlockId block) const override
+    {
+        log_->push_back({'p', block});
+    }
+
+    std::optional<std::vector<trace::BlockId>>
+    onDayClose(int day) override
+    {
+        if (day != 0)
+            return std::nullopt;
+        std::vector<trace::BlockId> set;
+        for (uint64_t nr = 0; nr < 100; nr += 2)
+            set.push_back(trace::makeBlockId(1, nr));
+        return set;
+    }
 };
 
 trace::Request
@@ -150,22 +187,26 @@ readRequest(uint64_t time, uint64_t offset, uint32_t len)
 
 /**
  * The callbacks one request should produce: per chunk of
- * BlockCache::kProbeBatch blocks, prefetchMiss for every miss, then in
+ * BlockCache::kProbeBatch blocks, prefetchMiss for every miss (and,
+ * when `hint_hits`, prefetchHit for every hit) in block order, then in
  * block order onHit for each hit and onMiss for each miss whose
  * allocation is not already in flight.
  */
 template <typename Resident, typename Pending>
 std::vector<PolicyEvent>
 expectedEvents(const trace::Request &req, Resident resident,
-               Pending pending)
+               Pending pending, bool hint_hits = false)
 {
     std::vector<PolicyEvent> out;
     const uint32_t chunk = cache::BlockCache::kProbeBatch;
     for (uint32_t base = 0; base < req.length_blocks; base += chunk) {
         const uint32_t end = std::min(base + chunk, req.length_blocks);
-        for (uint32_t i = base; i < end; ++i)
+        for (uint32_t i = base; i < end; ++i) {
             if (!resident(req.offset_blocks + i))
                 out.push_back({'P', req.blockAt(i)});
+            else if (hint_hits)
+                out.push_back({'p', req.blockAt(i)});
+        }
         for (uint32_t i = base; i < end; ++i) {
             const uint64_t nr = req.offset_blocks + i;
             if (resident(nr))
@@ -215,6 +256,46 @@ TEST(PolicyConsultation, InjectedPolicyIsPrefetchedBeforeEachMiss)
         readRequest(util::makeTime(0, 1), 0, 150);
     app.processRequest(warm);
     EXPECT_EQ(log, expectedEvents(warm, even, none));
+    app.checkInvariants();
+}
+
+/**
+ * An epoch-batched policy runs the same consultation order: it never
+ * allocates, so the pending set stays empty and every miss is both
+ * hinted and consulted; after the day close installs its set, those
+ * blocks report as hits, each hinted through prefetchHit first.
+ */
+TEST(PolicyConsultation, EpochBatchedPolicyConsultsEveryAccessInOrder)
+{
+    core::ApplianceConfig cfg;
+    cfg.cache_blocks = 1024;
+    cfg.track_occupancy = false;
+    std::vector<PolicyEvent> log;
+    core::Appliance app(cfg,
+                        std::make_unique<RecordingEpochPolicy>(&log));
+    const auto none = [](uint64_t) { return false; };
+
+    const trace::Request cold = readRequest(0, 0, 100);
+    app.processRequest(cold);
+    EXPECT_EQ(log, expectedEvents(cold, none, none));
+
+    // A second overlapping request on the same day: nothing is in
+    // flight, so every miss is consulted again.
+    log.clear();
+    const trace::Request overlap = readRequest(1, 50, 100);
+    app.processRequest(overlap);
+    EXPECT_EQ(log, expectedEvents(overlap, none, none));
+    EXPECT_EQ(app.totals().allocation_write_blocks, 0u);
+
+    app.finishDay(0);
+    log.clear();
+    const trace::Request warm =
+        readRequest(util::makeTime(1, 1), 0, 150);
+    app.processRequest(warm);
+    EXPECT_EQ(log, expectedEvents(
+                       warm,
+                       [](uint64_t nr) { return nr < 100 && nr % 2 == 0; },
+                       none, true));
     app.checkInvariants();
 }
 
