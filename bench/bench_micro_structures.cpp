@@ -21,7 +21,6 @@
 #include "analysis/access_log.hpp"
 #include "cache/block_cache.hpp"
 #include "cache/ghost_cache.hpp"
-#include "cache/replacement.hpp"
 #include "core/appliance.hpp"
 #include "core/imct.hpp"
 #include "core/mct.hpp"
@@ -87,29 +86,10 @@ BM_SieveStoreCOnMiss(benchmark::State &state)
 }
 BENCHMARK(BM_SieveStoreCOnMiss);
 
-/**
- * Both cache engines under one harness: engine 0 is the flat
- * block-index engine, engine 1 the node-based Reference* policies it
- * replaced. The flat-hot-path acceptance bar (resident-hit throughput
- * and per-resident-block bytes) reads straight off these counters.
- */
-cache::BlockCache
-makeEngineCache(uint64_t capacity, int64_t engine,
-                cache::EvictionKind kind)
-{
-    if (engine == 0)
-        return cache::BlockCache(capacity,
-                                 cache::EvictionSpec{kind, 1});
-    return cache::BlockCache(
-        capacity, cache::makeReferencePolicy({kind, 1}, capacity));
-}
-
+/** Per-resident-block bytes of the cache metadata, as a counter. */
 void
-setEngineLabel(benchmark::State &state, const cache::BlockCache &cache)
+setBytesPerBlock(benchmark::State &state, const cache::BlockCache &cache)
 {
-    state.SetLabel(std::string(state.range(0) == 0 ? "flat/"
-                                                   : "reference/") +
-                   cache.policyName());
     state.counters["bytes_per_block"] = benchmark::Counter(
         static_cast<double>(cache.memoryBytes()) /
         static_cast<double>(std::max<uint64_t>(1, cache.size())));
@@ -118,26 +98,21 @@ setEngineLabel(benchmark::State &state, const cache::BlockCache &cache)
 void
 BM_BlockCacheAccessHit(benchmark::State &state)
 {
-    const auto kind = static_cast<cache::EvictionKind>(state.range(1));
-    auto cache = makeEngineCache(1 << 16, state.range(0), kind);
+    cache::BlockCache cache(1 << 16);
     for (trace::BlockId b = 0; b < (1 << 16); ++b)
         cache.insert(b);
     util::Rng rng(4);
     for (auto _ : state)
         benchmark::DoNotOptimize(cache.access(rng.nextBelow(1 << 16)));
     state.SetItemsProcessed(state.iterations());
-    setEngineLabel(state, cache);
+    setBytesPerBlock(state, cache);
 }
-BENCHMARK(BM_BlockCacheAccessHit)
-    ->ArgNames({"engine", "kind"})
-    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5, 6, 7}});
+BENCHMARK(BM_BlockCacheAccessHit);
 
 void
 BM_BlockCacheInsertEvict(benchmark::State &state)
 {
-    const auto kind = static_cast<cache::EvictionKind>(state.range(1));
-    auto cache = makeEngineCache(1 << 14, state.range(0), kind);
-    util::Rng rng(5);
+    cache::BlockCache cache(1 << 14);
     trace::BlockId next = 0;
     for (auto _ : state) {
         if (!cache.access(next))
@@ -145,19 +120,16 @@ BM_BlockCacheInsertEvict(benchmark::State &state)
         ++next;
     }
     state.SetItemsProcessed(state.iterations());
-    setEngineLabel(state, cache);
+    setBytesPerBlock(state, cache);
 }
-BENCHMARK(BM_BlockCacheInsertEvict)
-    ->ArgNames({"engine", "kind"})
-    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5, 6, 7}});
+BENCHMARK(BM_BlockCacheInsertEvict);
 
 void
 BM_BlockCacheMixedHotCold(benchmark::State &state)
 {
     // The appliance's actual access mix: mostly hits in a hot set,
     // with a cold tail forcing insert+evict churn.
-    const auto kind = static_cast<cache::EvictionKind>(state.range(1));
-    auto cache = makeEngineCache(1 << 14, state.range(0), kind);
+    cache::BlockCache cache(1 << 14);
     util::Rng rng(6);
     for (auto _ : state) {
         const trace::BlockId b = rng.nextBool(0.9)
@@ -167,18 +139,15 @@ BM_BlockCacheMixedHotCold(benchmark::State &state)
             cache.insert(b);
     }
     state.SetItemsProcessed(state.iterations());
-    setEngineLabel(state, cache);
+    setBytesPerBlock(state, cache);
 }
-BENCHMARK(BM_BlockCacheMixedHotCold)
-    ->ArgNames({"engine", "kind"})
-    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5, 6, 7}});
+BENCHMARK(BM_BlockCacheMixedHotCold);
 
 /**
- * The policy fabric's shared history substrate: contains + insert on
- * a ghost cache running at budget, where every new key evicts the
- * oldest. ARC's B1/B2 directory probes and the adaptive sieve's
- * shadow capture test are exactly this loop, so its cost bounds the
- * fabric's per-access history overhead. Probes mix tracked keys
+ * The adaptive sieve's history substrate: contains + insert on a ghost
+ * cache running at budget, where every new key evicts the oldest. The
+ * adaptive sieve's shadow capture test is exactly this loop, so its
+ * cost bounds the per-access history overhead. Probes mix tracked keys
  * (front-refresh path) with fresh ones (insert + evict-oldest path).
  */
 void

@@ -6,11 +6,11 @@
  * Table 2's thought experiment grants AOD and WMNA an *oracle
  * replacement policy* that keeps each day's top-1 % blocks resident,
  * and shows that even then the allocation-writes remain. This harness
- * runs that exact configuration live: the cache's replacement policy is
- * OracleRetainPolicy with each day's true top-1 % set installed ahead
- * of time (from a profiling pass), under AOD, WMNA, and — for contrast
- * — the same oracle protection with SieveStore-C allocation, plus plain
- * LRU rows. The conclusion the paper draws: the allocation policy, not
+ * runs that exact configuration live: the LRU cache runs in its
+ * protected-set mode (BlockCache::setProtected) with each day's true
+ * top-1 % set installed ahead of time (from a profiling pass), under
+ * AOD, WMNA, and — for contrast — the same oracle protection with
+ * SieveStore-C allocation, plus plain LRU rows. The conclusion the paper draws: the allocation policy, not
  * the replacement policy, is where the SSD-write problem lives.
  */
 
@@ -18,7 +18,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "cache/replacement.hpp"
 #include "core/rand_sieve.hpp"
 #include "core/sievestore_c.hpp"
 #include "core/unsieved.hpp"
@@ -70,15 +69,6 @@ main(int argc, char **argv)
             ac.cache_blocks = opts.scaledCacheBlocks(32ULL << 30);
             ac.ssd = opts.scaledSsd(32ULL << 30);
             ac.track_occupancy = false;
-            cache::OracleRetainPolicy *retain = nullptr;
-            if (oracle) {
-                ac.replacement = [&retain]() {
-                    auto p =
-                        std::make_unique<cache::OracleRetainPolicy>();
-                    retain = p.get();
-                    return p;
-                };
-            }
             core::Appliance app(ac, makePolicy(policy_name, opts));
 
             // Drive day by day so the oracle's protected set tracks
@@ -86,9 +76,8 @@ main(int argc, char **argv)
             gen.reset();
             for (int d = 0; d < gen.days(); ++d) {
                 const auto di = static_cast<size_t>(d);
-                if (retain && di < day_sets.size())
-                    retain->setProtected({day_sets[di].begin(),
-                                          day_sets[di].end()});
+                if (oracle && di < day_sets.size())
+                    app.blockCache().setProtected(day_sets[di]);
                 for (const auto &req : gen.generateDay(d))
                     app.processRequest(req);
                 app.finishDay(d);

@@ -23,8 +23,14 @@ exist to catch step-change regressions, not single-digit drift).
 Speedups never fail. Benchmarks present only in the fresh run are
 warn-and-skip, never failures, and ``--allow-missing-baseline``
 extends that to a baseline file that does not exist yet — both so a
-new bench can land before its quiet-host baseline does. Exit status:
-0 clean, 1 regression or determinism break, 2 usage/parse error.
+new bench can land before its quiet-host baseline does. A baseline
+entry (or replay row) absent from the fresh run IS a failure: deleting
+or renaming a benchmark must not silently drop its gate, so the
+baseline is edited in the same change. Exit status: 0 clean, 1
+regression, missing entry or determinism break, 2 usage/parse error.
+
+``--self-test`` replays the fixture pairs in
+``scripts/bench_compare_fixtures/`` and checks each exit status.
 
 Typical use:
 
@@ -47,6 +53,7 @@ gate on host noise alone); regenerate it the same way.
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -101,7 +108,9 @@ def compareGbench(base_doc, fresh_doc, tolerance):
     failures = []
     for name in sorted(base):
         if name not in fresh:
-            print(f"  MISSING {name} (in baseline, not in fresh run)")
+            print(f"  MISSING {name} (in baseline, not in fresh run) "
+                  f"<< MISSING")
+            failures.append(f"{name} missing")
             continue
         b, f = base[name], fresh[name]
         ratio = f / b if b > 0 else float("inf")
@@ -147,7 +156,8 @@ def compareReplay(base_docs, fresh_docs, tolerance):
               f"(no baseline entry; skipped)")
     for key in sorted(base, key=str):
         if key not in fresh:
-            print(f"  MISSING row {key[1]}={key[2]}")
+            print(f"  MISSING row {key[1]}={key[2]} << MISSING")
+            failures.append(f"{key[1]}={key[2]} missing")
             continue
         brow, frow = base[key], fresh[key]
         label = f"{key[1]}={key[2]}"
@@ -172,11 +182,47 @@ def compareReplay(base_docs, fresh_docs, tolerance):
     return failures
 
 
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "bench_compare_fixtures")
+
+# (baseline fixture, fresh fixture, expected exit status)
+SELF_TEST_CASES = (
+    ("gbench_base.json", "gbench_base.json", 0),
+    ("gbench_base.json", "gbench_new_entry.json", 0),
+    ("gbench_base.json", "gbench_slower.json", 1),
+    ("gbench_base.json", "gbench_missing.json", 1),
+    ("replay_base.json", "replay_base.json", 0),
+    ("replay_base.json", "replay_new_row.json", 0),
+    ("replay_base.json", "replay_slower.json", 1),
+    ("replay_base.json", "replay_missing.json", 1),
+)
+
+
+def selfTest():
+    bad = 0
+    for base, fresh, want in SELF_TEST_CASES:
+        got = compareFiles(os.path.join(FIXTURES, base),
+                           os.path.join(FIXTURES, fresh), 0.50, "auto",
+                           False)
+        if got != want:
+            print(f"bench-compare self-test: {base} vs {fresh}: exit "
+                  f"{got}, expected {want}", file=sys.stderr)
+            bad += 1
+    if bad:
+        print(f"bench-compare self-test: FAILED ({bad} case(s))")
+        return 1
+    print(f"bench-compare self-test OK ({len(SELF_TEST_CASES)} cases)")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="diff a fresh benchmark run against a baseline")
-    parser.add_argument("--baseline", required=True)
-    parser.add_argument("--fresh", required=True)
+    parser.add_argument("--self-test", action="store_true",
+                        help="check the exit status of every fixture "
+                             "pair in scripts/bench_compare_fixtures/")
+    parser.add_argument("--baseline")
+    parser.add_argument("--fresh")
     parser.add_argument("--tolerance", type=float, default=0.50,
                         help="allowed fractional slowdown "
                              "(default 0.50)")
@@ -189,13 +235,21 @@ def main():
                              "does not exist yet (new benches land "
                              "before their quiet-host baseline does)")
     opts = parser.parse_args()
+    if opts.self_test:
+        return selfTest()
+    if not opts.baseline or not opts.fresh:
+        parser.error("--baseline and --fresh are required")
+    return compareFiles(opts.baseline, opts.fresh, opts.tolerance,
+                        opts.format, opts.allow_missing_baseline)
 
+
+def compareFiles(baseline, fresh, tolerance, fmt, allow_missing_baseline):
     try:
-        base_docs = loadJsonStream(opts.baseline)
+        base_docs = loadJsonStream(baseline)
     except OSError as e:
-        if opts.allow_missing_baseline:
+        if allow_missing_baseline:
             print(f"bench-compare: WARNING: baseline "
-                  f"{opts.baseline} unreadable ({e}); skipping "
+                  f"{baseline} unreadable ({e}); skipping "
                   f"comparison — commit a quiet-host baseline to "
                   f"arm the gate")
             return 0
@@ -206,12 +260,11 @@ def main():
         return 2
 
     try:
-        fresh_docs = loadJsonStream(opts.fresh)
+        fresh_docs = loadJsonStream(fresh)
     except (OSError, ValueError) as e:
         print(f"bench-compare: {e}", file=sys.stderr)
         return 2
 
-    fmt = opts.format
     if fmt == "auto":
         fmt = detectFormat(base_docs)
         if fmt is None or fmt != detectFormat(fresh_docs):
@@ -219,16 +272,15 @@ def main():
                   "pass --format", file=sys.stderr)
             return 2
 
-    print(f"bench-compare: {opts.baseline} vs {opts.fresh} "
-          f"[{fmt}, tolerance {opts.tolerance:.0%}]")
+    print(f"bench-compare: {baseline} vs {fresh} "
+          f"[{fmt}, tolerance {tolerance:.0%}]")
     if fmt == "gbench":
-        failures = compareGbench(base_docs[0], fresh_docs[0],
-                                 opts.tolerance)
+        failures = compareGbench(base_docs[0], fresh_docs[0], tolerance)
     else:
-        failures = compareReplay(base_docs, fresh_docs,
-                                 opts.tolerance)
+        failures = compareReplay(base_docs, fresh_docs, tolerance)
     if failures:
-        print(f"bench-compare: FAILED ({len(failures)} regression(s))")
+        print(f"bench-compare: FAILED ({len(failures)} regression(s) "
+              f"or missing entries)")
         return 1
     print("bench-compare: OK")
     return 0

@@ -36,11 +36,13 @@ def projectPrefixes():
             prefixes.add(name)
     prefixes.add("bench_common.hpp")
     # Test-only header trees (tests/modelcheck/...) are included as
-    # "modelcheck/sched.hpp" from test sources.
+    # "modelcheck/sched.hpp" from test sources, and test-only headers
+    # at the test root (tests/reference_lru.hpp) by their bare name.
     tests = os.path.join(REPO, "tests")
     if os.path.isdir(tests):
         for name in os.listdir(tests):
-            if os.path.isdir(os.path.join(tests, name)):
+            if os.path.isdir(os.path.join(tests, name)) or \
+                    name.endswith(".hpp"):
                 prefixes.add(name)
     return prefixes
 

@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "cache/ghost_cache.hpp"
-#include "util/count_min.hpp"
 
 namespace fixture {
 
@@ -20,14 +19,13 @@ class AuditedDirectory
 
   private:
     cache::GhostCache ghost{1024};
-    util::CountMinSketch sketch{1 << 12};
 };
 
 // Out-of-line audit: the linter must find it in this file scan.
 inline uint64_t
 AuditedDirectory::metastateBytes() const
 {
-    return ghost.memoryBytes() + sketch.memoryBytes();
+    return ghost.memoryBytes();
 }
 
 struct ShadowSlot

@@ -56,9 +56,8 @@ their call sites, and proves three project claims statically:
                    and io_uring_* returns, rand/random_device, wall
                    clocks, getenv). Sinks are the decision surfaces
                    annotated SIEVE_TAINT_SINK (AllocationPolicy
-                   admit paths, BlockCache mutation arguments,
-                   ReplacementPolicy residency events, the model-side
-                   fields of DailyReport); a sink on a virtual
+                   admit paths, BlockCache mutation arguments, the
+                   model-side fields of DailyReport); a sink on a virtual
                    declaration binds every override. Taint propagates through assignments,
                    call arguments/returns, and member fields, with
                    per-function summaries iterated to a fixpoint;

@@ -10,15 +10,15 @@ linter knows about; this tool makes them machine-checked:
                     `// sieve-lint: charged(<why>)` directive on the
                     member. Uncharged containers silently understate
                     the footprint numbers the paper tables report.
-  ghost-charge      A class embedding ghost state (cache::GhostCache
-                    or util::CountMinSketch) must charge it by name in
-                    a footprint audit (memoryBytes() or the policy
-                    convention's metastateBytes()) — even when the
-                    class audits nothing else. Ghost directories are
-                    whole data structures reserved to their budget at
+  ghost-charge      A class embedding ghost state (cache::GhostCache)
+                    must charge it by name in a footprint audit
+                    (memoryBytes() or the policy convention's
+                    metastateBytes()) — even when the class audits
+                    nothing else. Ghost directories are whole data
+                    structures reserved to their budget at
                     construction; an unaudited one silently understates
-                    the policy fabric's metastate cost, exactly the
-                    number the paper's DRAM-budget argument leans on.
+                    a policy's metastate cost, exactly the number the
+                    paper's DRAM-budget argument leans on.
   invariants        Audit-listed classes (the ones the contract layer
                     depends on) must declare checkInvariants().
   unordered-report  Iterating a std::unordered_* container must not
@@ -85,7 +85,6 @@ AUDIT_CLASSES = (
     "AccessCounter",
     "Appliance",
     "BlockCache",
-    "CountMinSketch",
     "FileBackend",
     "FlatIndex",
     "GhostCache",
@@ -432,9 +431,7 @@ def checkMemCharge(sources, findings, backend_note):
 # the generic containers of mem-charge, embedding one of these is an
 # unconditional obligation: the holding class must charge it even when
 # it audits nothing else (or say why not via charged()).
-GHOST_TYPE_RE = re.compile(
-    r"\b(?:cache\s*::\s*)?GhostCache\b"
-    r"|\b(?:util\s*::\s*)?CountMinSketch\b")
+GHOST_TYPE_RE = re.compile(r"\b(?:cache\s*::\s*)?GhostCache\b")
 
 # Out-of-line footprint audits: memoryBytes() everywhere, plus the
 # AllocationPolicy convention's metastateBytes() (the adaptive sieve
@@ -448,7 +445,7 @@ AUDIT_METHOD_RE = re.compile(r"\b(?:memoryBytes|metastateBytes)\b")
 
 
 def checkGhostCharge(sources, findings):
-    """Every GhostCache/CountMinSketch member must appear by name in
+    """Every GhostCache member must appear by name in
     its class's memoryBytes()/metastateBytes() body (gathered inline
     and out-of-line across the scanned files), or carry a charged()
     directive naming the audit that sums it from outside."""
@@ -500,7 +497,7 @@ def checkGhostCharge(sources, findings):
                       f"metastateBytes() to charge it in")
         findings.append(Finding(
             src.relpath, first, "ghost-charge",
-            f"{cls}::{name} embeds ghost/sketch state but {detail}; "
+            f"{cls}::{name} embeds ghost state but {detail}; "
             f"add it to the footprint or annotate with "
             f"// sieve-lint: charged(<which audit sums it>)"))
 

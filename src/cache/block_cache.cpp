@@ -4,7 +4,6 @@
 
 #include "util/alloc_guard.hpp"
 #include "util/check.hpp"
-#include "util/footprint.hpp"
 #include "util/logging.hpp"
 
 namespace sievestore {
@@ -13,74 +12,19 @@ namespace cache {
 using trace::BlockId;
 using util::IndexList;
 
-namespace {
-
-void
-checkCapacity(uint64_t capacity_blocks)
+BlockCache::BlockCache(uint64_t capacity) : capacity_blocks(capacity)
 {
     if (capacity_blocks == 0)
         util::fatal("cache capacity must be at least one block");
-    // The order-book arena links nodes by 32-bit index; at 512-byte
+    // The recency arena links nodes by 32-bit index; at 512-byte
     // blocks the cap is a 2 TB cache, far past the paper's 32 GB.
     SIEVE_CHECK(capacity_blocks < IndexList::kNull,
                 "cache capacity %llu exceeds the 2^32-1 block arena",
                 static_cast<unsigned long long>(capacity_blocks));
-}
-
-} // namespace
-
-BlockCache::BlockCache(uint64_t capacity, EvictionSpec espec)
-    : capacity_blocks(capacity), spec(espec), rng(espec.seed)
-{
-    checkCapacity(capacity_blocks);
-    initFlatEngine();
-}
-
-BlockCache::BlockCache(uint64_t capacity,
-                       std::unique_ptr<ReplacementPolicy> policy)
-    : capacity_blocks(capacity), custom(std::move(policy)),
-      rng(spec.seed)
-{
-    checkCapacity(capacity_blocks);
-    initFlatEngine();
-}
-
-void
-BlockCache::initFlatEngine()
-{
+    // Steady-state inserts recycle the victim's node, and warmup
+    // growth runs under insert()'s disarm, so only the index is
+    // reserved up front.
     index.reserve(capacity_blocks);
-    if (custom)
-        return;
-    switch (spec.kind) {
-      case EvictionKind::Lru:
-      case EvictionKind::Fifo:
-      case EvictionKind::Clock:
-      case EvictionKind::Sieve:
-      case EvictionKind::Lfu:
-      case EvictionKind::Random:
-        // Single-arena kinds recycle the victim's node before each
-        // steady-state insert; warmup growth runs under insert()'s
-        // disarm, so no up-front arena reservation is needed.
-        break;
-      case EvictionKind::Arc:
-        // Steady-state inserts can land in the other arena than the
-        // victim came from (T1 eviction, T2 landing), so both arenas
-        // are reserved for the worst case up front to keep the
-        // no-alloc contract.
-        order.reserve(capacity_blocks);
-        order2.reserve(capacity_blocks);
-        ghost_recent.emplace(capacity_blocks);
-        ghost_frequent.emplace(capacity_blocks);
-        break;
-      case EvictionKind::TinyLfu:
-        order.reserve(capacity_blocks);
-        order2.reserve(capacity_blocks);
-        order3.reserve(capacity_blocks);
-        ghost_recent.emplace(capacity_blocks);
-        sketch.emplace(capacity_blocks, spec.seed);
-        tlfu = tinyLfuShape(capacity_blocks);
-        break;
-    }
 }
 
 bool
@@ -92,17 +36,13 @@ BlockCache::contains(BlockId block) const
 bool
 BlockCache::access(BlockId block)
 {
-    // Flat engine: a resident hit is one probe plus inline policy
-    // state; arena splices never allocate. Custom policies own their
-    // state and make no such promise.
-    SIEVE_ASSERT_NO_ALLOC_WHEN(!custom);
+    // A resident hit is one probe plus an arena splice; never
+    // allocates.
+    SIEVE_ASSERT_NO_ALLOC;
     PolicyState *st = index.find(block);
     if (!st)
         return false;
-    if (custom)
-        custom->onAccess(block);
-    else
-        policyAccess(block, *st);
+    order.moveToFront(st->node);
     return true;
 }
 
@@ -116,26 +56,23 @@ BlockCache::probeBatch(std::span<const BlockId> blocks,
 }
 
 void
-BlockCache::touchProbed(BlockId block, PolicyState &st)
+BlockCache::touchProbed(PolicyState &st)
 {
     // Same contract as access().
-    SIEVE_ASSERT_NO_ALLOC_WHEN(!custom);
-    if (custom)
-        custom->onAccess(block);
-    else
-        policyAccess(block, st);
+    SIEVE_ASSERT_NO_ALLOC;
+    order.moveToFront(st.node);
 }
 
 std::optional<BlockId>
 BlockCache::insert(BlockId block)
 {
     // Steady state (cache full) recycles: the victim's index slot and
-    // order-book node are released before the insert reuses them, and
-    // the pre-reserved table never rehashes. Warmup below capacity
-    // may still grow the order arena, so the region engages only once
-    // the cache is full.
+    // arena node are released before the insert reuses them, and the
+    // pre-reserved table never rehashes. Warmup below capacity may
+    // still grow the arena, so the region engages only once the cache
+    // is full.
     const bool steady = index.size() >= capacity_blocks;
-    SIEVE_ASSERT_NO_ALLOC_WHEN(!custom && steady);
+    SIEVE_ASSERT_NO_ALLOC_WHEN(steady);
     // Warmup growth is amortized and legitimate even when a caller
     // (Appliance::processBatch) holds a batch-wide no-alloc region.
     std::optional<util::AllocGuardDisarm> warmup_growth;
@@ -149,28 +86,23 @@ BlockCache::insert(BlockId block)
         if (index.contains(block))
             util::panic("BlockCache: insert of resident block %llx",
                         static_cast<unsigned long long>(block));
-        const BlockId victim =
-            custom ? custom->victimFor(block) : policyVictim(block);
-        eraseResident(victim);
-        evicted = victim;
+        const BlockId v = victim();
+        eraseResident(v);
+        evicted = v;
     }
     const auto [st, inserted] = index.findOrInsert(block);
     if (!inserted)
         util::panic("BlockCache: insert of resident block %llx",
                     static_cast<unsigned long long>(block));
-    if (custom)
-        custom->onInsert(block);
-    else
-        policyInsert(block, *st);
+    st->node = order.pushFront(block);
     return evicted;
 }
 
 bool
 BlockCache::erase(BlockId block)
 {
-    // Backward-shift deletion and freelist recycling: never allocates
-    // in the flat engine.
-    SIEVE_ASSERT_NO_ALLOC_WHEN(!custom);
+    // Backward-shift deletion and freelist recycling: never allocates.
+    SIEVE_ASSERT_NO_ALLOC;
     if (!index.contains(block))
         return false;
     eraseResident(block);
@@ -221,15 +153,21 @@ BlockCache::batchReplace(const std::vector<BlockId> &new_set,
         const auto [st, inserted] = index.findOrInsert(b);
         if (!inserted)
             continue; // retained
-        if (custom)
-            custom->onInsert(b);
-        else
-            policyInsert(b, *st);
+        st->node = order.pushFront(b);
         ++result.allocated;
         if (allocated_out)
             allocated_out->push_back(b);
     }
     return result;
+}
+
+void
+BlockCache::setProtected(std::span<const BlockId> blocks)
+{
+    protected_blocks.clear();
+    protected_blocks.reserve(blocks.size());
+    for (BlockId b : blocks)
+        protected_blocks.findOrInsert(b);
 }
 
 std::vector<BlockId>
@@ -243,374 +181,37 @@ BlockCache::contents() const
     return blocks;
 }
 
-const char *
-BlockCache::policyName() const
-{
-    return custom ? custom->name() : evictionKindName(spec.kind);
-}
-
 uint64_t
 BlockCache::memoryBytes() const
 {
-    uint64_t total = index.memoryBytes();
-    if (custom)
-        return total + custom->memoryBytes();
-    total += order.memoryBytes() + order2.memoryBytes() +
-             order3.memoryBytes() + util::vectorFootprintBytes(pool);
-    // Ghost directories and the admission sketch are policy metadata
-    // like the order books and are charged the same way.
-    if (ghost_recent)
-        total += ghost_recent->memoryBytes();
-    if (ghost_frequent)
-        total += ghost_frequent->memoryBytes();
-    if (sketch)
-        total += sketch->memoryBytes();
-    return total;
-}
-
-void
-BlockCache::arcAdapt(BlockId incoming)
-{
-    const bool in_b1 = ghost_recent->contains(incoming);
-    const bool in_b2 = !in_b1 && ghost_frequent->contains(incoming);
-    arc_last_in_b2 = in_b2;
-    if (in_b1) {
-        const uint64_t delta = std::max<uint64_t>(
-                1, ghost_frequent->size() / ghost_recent->size());
-        arc_p = std::min(capacity_blocks, arc_p + delta);
-        ghost_recent->erase(incoming);
-        arc_to_t2 = true;
-    } else if (in_b2) {
-        const uint64_t delta = std::max<uint64_t>(
-                1, ghost_recent->size() / ghost_frequent->size());
-        arc_p = arc_p > delta ? arc_p - delta : 0;
-        ghost_frequent->erase(incoming);
-        arc_to_t2 = true;
-    } else {
-        arc_to_t2 = false;
-    }
-    arc_prepared = true;
-}
-
-void
-BlockCache::policyInsert(BlockId block, PolicyState &st)
-{
-    switch (spec.kind) {
-      case EvictionKind::Lru:
-      case EvictionKind::Fifo:
-        st.primary = order.pushFront(block);
-        break;
-      case EvictionKind::Clock:
-        // Insert behind the hand so the new entry is inspected last
-        // (kNull appends at the tail, matching insert-before-end).
-        st.primary = order.insertBefore(hand, block);
-        st.secondary = 1;
-        break;
-      case EvictionKind::Lfu:
-        st.primary = 1;
-        st.secondary = lfu_sequence++;
-        break;
-      case EvictionKind::Random:
-        st.primary = pool.size();
-        // Slots recycled by policyErase's swap-remove keep the vector
-        // at capacity in steady state; growth happens only during
-        // warmup, under insert()'s disarm.
-        pool.push_back(block); // sieve-analyze: allow(no-alloc)
-        break;
-      case EvictionKind::Sieve:
-        st.primary = order.pushFront(block);
-        st.secondary = 0;
-        break;
-      case EvictionKind::Arc:
-        // batchReplace installs (and below-capacity warmup) arrive
-        // without a policyVictim call; adapt on the ghost hit now.
-        if (!arc_prepared)
-            arcAdapt(block);
-        arc_prepared = false;
-        if (arc_to_t2) {
-            st.primary = order2.pushFront(block);
-            st.secondary = 2;
-        } else {
-            st.primary = order.pushFront(block);
-            st.secondary = 1;
-        }
-        break;
-      case EvictionKind::TinyLfu: {
-        sketch->add(block);
-        // A recently rejected key earns a second sketch vote so a
-        // prompt re-reference can win the next admission contest.
-        if (ghost_recent->erase(block))
-            sketch->add(block);
-        st.primary = order.pushFront(block);
-        st.secondary = 0;
-        if (order.size() > tlfu.window_cap) {
-            // Below-capacity growth: window overflow drains into
-            // probation (at capacity policyVictim already made room).
-            const BlockId demoted = order.value(order.tail());
-            order.erase(order.tail());
-            PolicyState *dst = index.find(demoted);
-            SIEVE_DCHECK(dst != nullptr);
-            dst->primary = order2.pushFront(demoted);
-            dst->secondary = 1;
-        }
-        break;
-      }
-    }
-}
-
-void
-BlockCache::policyAccess(BlockId block, PolicyState &st)
-{
-    switch (spec.kind) {
-      case EvictionKind::Lru:
-        order.moveToFront(static_cast<uint32_t>(st.primary));
-        break;
-      case EvictionKind::Fifo:
-        break; // insertion order is preserved: hits do not promote
-      case EvictionKind::Clock:
-        st.secondary = 1;
-        break;
-      case EvictionKind::Lfu:
-        ++st.primary;
-        break;
-      case EvictionKind::Random:
-        break;
-      case EvictionKind::Sieve:
-        st.secondary = 1; // visited; the queue is never touched
-        break;
-      case EvictionKind::Arc:
-        if (st.secondary == 1) {
-            // First re-reference: promote T1 -> T2 MRU.
-            order.erase(static_cast<uint32_t>(st.primary));
-            st.primary = order2.pushFront(block);
-            st.secondary = 2;
-        } else {
-            order2.moveToFront(static_cast<uint32_t>(st.primary));
-        }
-        break;
-      case EvictionKind::TinyLfu:
-        sketch->add(block);
-        if (st.secondary == 0) {
-            order.moveToFront(static_cast<uint32_t>(st.primary));
-        } else if (st.secondary == 1) {
-            // Promote probation -> protected; over-cap demotes the
-            // protected LRU back to probation MRU (at protected_cap
-            // == 0 the promoted block demotes itself, netting a
-            // probation move-to-front).
-            order2.erase(static_cast<uint32_t>(st.primary));
-            st.primary = order3.pushFront(block);
-            st.secondary = 2;
-            if (order3.size() > tlfu.protected_cap) {
-                const BlockId demoted = order3.value(order3.tail());
-                order3.erase(order3.tail());
-                PolicyState *dst = index.find(demoted);
-                SIEVE_DCHECK(dst != nullptr);
-                dst->primary = order2.pushFront(demoted);
-                dst->secondary = 1;
-            }
-        } else {
-            order3.moveToFront(static_cast<uint32_t>(st.primary));
-        }
-        break;
-    }
-}
-
-void
-BlockCache::policyErase(BlockId block, const PolicyState &st)
-{
-    switch (spec.kind) {
-      case EvictionKind::Lru:
-      case EvictionKind::Fifo:
-        order.erase(static_cast<uint32_t>(st.primary));
-        break;
-      case EvictionKind::Clock: {
-        const auto node = static_cast<uint32_t>(st.primary);
-        if (hand == node)
-            hand = order.next(node);
-        order.erase(node);
-        break;
-      }
-      case EvictionKind::Lfu:
-        break;
-      case EvictionKind::Random: {
-        // Swap-with-last keeps the pool dense.
-        const auto pos = static_cast<size_t>(st.primary);
-        const BlockId last = pool.back();
-        pool[pos] = last;
-        if (last != block) {
-            PolicyState *last_st = index.find(last);
-            SIEVE_DCHECK(last_st != nullptr);
-            last_st->primary = pos;
-        }
-        pool.pop_back();
-        break;
-      }
-      case EvictionKind::Sieve: {
-        const auto node = static_cast<uint32_t>(st.primary);
-        // Step the hand toward the head past the erased node (prev of
-        // the head is kNull, i.e. restart from the tail).
-        if (hand == node)
-            hand = order.prev(node);
-        order.erase(node);
-        break;
-      }
-      case EvictionKind::Arc: {
-        const bool was_t1 = st.secondary == 1;
-        (was_t1 ? order : order2)
-                .erase(static_cast<uint32_t>(st.primary));
-        if (arc_suppress_ghost) {
-            arc_suppress_ghost = false;
-            break;
-        }
-        // Evicted keys fall into the matching ghost directory.
-        (was_t1 ? *ghost_recent : *ghost_frequent).insert(block);
-        break;
-      }
-      case EvictionKind::TinyLfu:
-        (st.secondary == 0   ? order
-         : st.secondary == 1 ? order2
-                             : order3)
-                .erase(static_cast<uint32_t>(st.primary));
-        break;
-    }
+    return index.memoryBytes() + order.memoryBytes() +
+           protected_blocks.memoryBytes();
 }
 
 BlockId
-BlockCache::policyVictim(BlockId incoming)
+BlockCache::victim()
 {
     SIEVE_CHECK(!index.empty(), "victim() on empty cache");
-    switch (spec.kind) {
-      case EvictionKind::Lru:
-      case EvictionKind::Fifo:
-        return order.value(order.tail());
-      case EvictionKind::Clock:
-        // Sweep the ring clearing reference bits until one is clear.
-        while (true) {
-            if (hand == IndexList::kNull)
-                hand = order.head();
-            const BlockId block = order.value(hand);
-            PolicyState *st = index.find(block);
-            SIEVE_DCHECK(st != nullptr);
-            if (st->secondary != 0) {
-                st->secondary = 0;
-                hand = order.next(hand);
-            } else {
-                return block;
-            }
+    if (!protected_blocks.empty()) {
+        // Oracle mode: scan from the cold end, rotating protected
+        // blocks to the hot end, for at most one full lap.
+        for (size_t scanned = 0, lap = order.size(); scanned < lap;
+             ++scanned) {
+            const uint32_t cold = order.tail();
+            if (!protected_blocks.contains(order.value(cold)))
+                return order.value(cold);
+            order.moveToFront(cold);
         }
-      case EvictionKind::Lfu: {
-        // Linear scan for the unique (count, sequence) minimum.
-        bool found = false;
-        BlockId best_block = 0;
-        uint64_t best_count = 0;
-        uint64_t best_seq = 0;
-        index.forEach([&](uint64_t key, const PolicyState &st) {
-            if (!found || st.primary < best_count ||
-                (st.primary == best_count && st.secondary < best_seq)) {
-                found = true;
-                best_block = key;
-                best_count = st.primary;
-                best_seq = st.secondary;
-            }
-        });
-        return best_block;
-      }
-      case EvictionKind::Random:
-        return pool[rng.nextBelow(pool.size())];
-      case EvictionKind::Sieve: {
-        // Sweep from the hand (or the tail) toward the head, clearing
-        // visited bits; the first unvisited block is the victim and
-        // the hand parks just past it.
-        uint32_t node = hand != IndexList::kNull ? hand : order.tail();
-        while (true) {
-            if (node == IndexList::kNull)
-                node = order.tail(); // wrapped past the head
-            const BlockId block = order.value(node);
-            PolicyState *st = index.find(block);
-            SIEVE_DCHECK(st != nullptr);
-            if (st->secondary != 0) {
-                st->secondary = 0;
-                node = order.prev(node);
-            } else {
-                hand = order.prev(node);
-                return block;
-            }
-        }
-      }
-      case EvictionKind::Arc: {
-        arcAdapt(incoming);
-        if (!arc_to_t2) {
-            // Case IV: the incoming key is in neither ghost
-            // directory, so make directory room per the paper (>=
-            // instead of == guards the transient L1 overshoot a
-            // batchReplace refill creates).
-            const uint64_t l1 = order.size() + ghost_recent->size();
-            if (l1 >= capacity_blocks) {
-                if (order.size() < capacity_blocks) {
-                    ghost_recent->popOldest();
-                } else {
-                    // T1 alone fills the cache: evict its LRU with no
-                    // ghost record (the canonical IV(a) inner arm).
-                    arc_suppress_ghost = true;
-                    return order.value(order.tail());
-                }
-            } else if (order.size() + order2.size() +
-                               ghost_recent->size() +
-                               ghost_frequent->size() >=
-                       2 * capacity_blocks) {
-                ghost_frequent->popOldest();
-            }
-        }
-        // REPLACE(x, p): the side whose share exceeds its target.
-        if (!order.empty() &&
-            (order2.empty() || order.size() > arc_p ||
-             (arc_last_in_b2 && order.size() == arc_p)))
-            return order.value(order.tail());
-        return order2.value(order2.tail());
-      }
-      case EvictionKind::TinyLfu: {
-        if (order.empty()) {
-            // Degenerate shape (external erases drained the window):
-            // evict from the main region directly.
-            return order2.empty() ? order3.value(order3.tail())
-                                  : order2.value(order2.tail());
-        }
-        const BlockId candidate = order.value(order.tail());
-        if (order2.empty() && order3.empty())
-            return candidate;
-        const BlockId main_victim = order2.empty()
-                                        ? order3.value(order3.tail())
-                                        : order2.value(order2.tail());
-        if (sketch->estimate(candidate) >
-            sketch->estimate(main_victim)) {
-            // Candidate admitted: it takes the main region's place
-            // and the main victim is evicted.
-            order.erase(order.tail());
-            PolicyState *cst = index.find(candidate);
-            SIEVE_DCHECK(cst != nullptr);
-            cst->primary = order2.pushFront(candidate);
-            cst->secondary = 1;
-            return main_victim;
-        }
-        ghost_recent->insert(candidate);
-        return candidate;
-      }
+        // Everything is protected: fall back to plain LRU.
     }
-    SIEVE_UNREACHABLE("unknown EvictionKind");
+    return order.value(order.tail());
 }
 
 void
 BlockCache::eraseResident(BlockId block)
 {
-    if (custom) {
-        custom->onErase(block);
-        const bool erased = index.erase(block);
-        SIEVE_CHECK(erased, "evicted block %llx was not resident",
-                    static_cast<unsigned long long>(block));
-        return;
-    }
     const bool erased = index.eraseWith(block, [&](const PolicyState &st) {
-        policyErase(block, st);
+        order.erase(st.node);
     });
     SIEVE_CHECK(erased, "evicted block %llx was not resident",
                 static_cast<unsigned long long>(block));
@@ -624,145 +225,23 @@ BlockCache::checkInvariants() const
                 "resident set %zu exceeds capacity %llu", index.size(),
                 static_cast<unsigned long long>(capacity_blocks));
     index.checkInvariants();
+    protected_blocks.checkInvariants();
 
-    if (custom) {
-        SIEVE_CHECK(custom->size() == index.size(),
-                    "policy tracks %zu blocks, cache holds %zu",
-                    custom->size(), index.size());
-        index.forEach([&](uint64_t key, const PolicyState &) {
-            SIEVE_CHECK(custom->contains(key),
-                        "resident block %llx unknown to the %s policy",
-                        static_cast<unsigned long long>(key),
-                        custom->name());
-        });
-        return;
-    }
-
-    // Arena mirror: every node in `list` is resident, links back to
-    // its node, and carries the expected segment tag (uint64_t(-1)
-    // skips the tag check).
-    const auto checkArena = [&](const util::IndexList &list,
-                                uint64_t segment) {
-        list.checkInvariants();
-        for (uint32_t n = list.head(); n != IndexList::kNull;
-             n = list.next(n)) {
-            const PolicyState *st = index.find(list.value(n));
-            SIEVE_CHECK(st != nullptr,
-                        "order-book block %llx is not resident",
-                        static_cast<unsigned long long>(list.value(n)));
-            SIEVE_CHECK(static_cast<uint32_t>(st->primary) == n,
-                        "block %llx links node %llu, found at node %u",
-                        static_cast<unsigned long long>(list.value(n)),
-                        static_cast<unsigned long long>(st->primary), n);
-            if (segment != static_cast<uint64_t>(-1))
-                SIEVE_CHECK(st->secondary == segment,
-                            "block %llx carries segment %llu, its "
-                            "arena expects %llu",
-                            static_cast<unsigned long long>(
-                                    list.value(n)),
-                            static_cast<unsigned long long>(
-                                    st->secondary),
-                            static_cast<unsigned long long>(segment));
-        }
-    };
-
-    switch (spec.kind) {
-      case EvictionKind::Lru:
-      case EvictionKind::Fifo:
-      case EvictionKind::Clock:
-      case EvictionKind::Sieve: {
-        order.checkInvariants();
-        SIEVE_CHECK(order.size() == index.size(),
-                    "order book tracks %zu blocks, cache holds %zu",
-                    order.size(), index.size());
-        bool hand_seen = hand == IndexList::kNull;
-        for (uint32_t n = order.head(); n != IndexList::kNull;
-             n = order.next(n)) {
-            const PolicyState *st = index.find(order.value(n));
-            SIEVE_CHECK(st != nullptr,
-                        "order-book block %llx is not resident",
-                        static_cast<unsigned long long>(order.value(n)));
-            SIEVE_CHECK(static_cast<uint32_t>(st->primary) == n,
-                        "block %llx links node %llu, found at node %u",
-                        static_cast<unsigned long long>(order.value(n)),
-                        static_cast<unsigned long long>(st->primary), n);
-            if (spec.kind == EvictionKind::Clock ||
-                spec.kind == EvictionKind::Sieve)
-                SIEVE_CHECK(st->secondary <= 1,
-                            "reference/visited bit out of range");
-            hand_seen = hand_seen || n == hand;
-        }
-        SIEVE_CHECK(hand_seen, "hand points outside the order book");
-        break;
-      }
-      case EvictionKind::Lfu:
-        index.forEach([&](uint64_t key, const PolicyState &st) {
-            SIEVE_CHECK(st.primary >= 1,
-                        "LFU count for %llx below one",
-                        static_cast<unsigned long long>(key));
-            SIEVE_CHECK(st.secondary < lfu_sequence,
-                        "LFU sequence for %llx from the future",
-                        static_cast<unsigned long long>(key));
-        });
-        break;
-      case EvictionKind::Random:
-        SIEVE_CHECK(pool.size() == index.size(),
-                    "victim pool tracks %zu blocks, cache holds %zu",
-                    pool.size(), index.size());
-        for (size_t i = 0; i < pool.size(); ++i) {
-            const PolicyState *st = index.find(pool[i]);
-            SIEVE_CHECK(st != nullptr,
-                        "pooled block %llx is not resident",
-                        static_cast<unsigned long long>(pool[i]));
-            SIEVE_CHECK(st->primary == i,
-                        "block %llx records pool slot %llu, is at %zu",
-                        static_cast<unsigned long long>(pool[i]),
-                        static_cast<unsigned long long>(st->primary), i);
-        }
-        break;
-      case EvictionKind::Arc:
-        SIEVE_CHECK(order.size() + order2.size() == index.size(),
-                    "ARC lists track %zu + %zu blocks, cache holds %zu",
-                    order.size(), order2.size(), index.size());
-        checkArena(order, 1);
-        checkArena(order2, 2);
-        SIEVE_CHECK(arc_p <= capacity_blocks,
-                    "ARC target %llu exceeds capacity %llu",
-                    static_cast<unsigned long long>(arc_p),
-                    static_cast<unsigned long long>(capacity_blocks));
-        ghost_recent->checkInvariants();
-        ghost_frequent->checkInvariants();
-        // A resident key must never appear in a ghost directory:
-        // every path into residency erases its ghost entry first.
-        index.forEach([&](uint64_t key, const PolicyState &) {
-            SIEVE_CHECK(!ghost_recent->contains(key) &&
-                                !ghost_frequent->contains(key),
-                        "resident block %llx in a ghost directory",
-                        static_cast<unsigned long long>(key));
-        });
-        break;
-      case EvictionKind::TinyLfu:
-        SIEVE_CHECK(order.size() + order2.size() + order3.size() ==
-                            index.size(),
-                    "TinyLFU segments track %zu + %zu + %zu blocks, "
-                    "cache holds %zu",
-                    order.size(), order2.size(), order3.size(),
-                    index.size());
-        SIEVE_CHECK(order.size() <= tlfu.window_cap,
-                    "window holds %zu blocks, cap is %llu",
-                    order.size(),
-                    static_cast<unsigned long long>(tlfu.window_cap));
-        SIEVE_CHECK(order3.size() <= tlfu.protected_cap,
-                    "protected segment holds %zu blocks, cap is %llu",
-                    order3.size(),
-                    static_cast<unsigned long long>(
-                            tlfu.protected_cap));
-        checkArena(order, 0);
-        checkArena(order2, 1);
-        checkArena(order3, 2);
-        sketch->checkInvariants();
-        ghost_recent->checkInvariants();
-        break;
+    // Arena mirror: every node is resident and its block links back to
+    // it, and the arena holds exactly the resident set.
+    order.checkInvariants();
+    SIEVE_CHECK(order.size() == index.size(),
+                "recency order tracks %zu blocks, cache holds %zu",
+                order.size(), index.size());
+    for (uint32_t n = order.head(); n != IndexList::kNull;
+         n = order.next(n)) {
+        const PolicyState *st = index.find(order.value(n));
+        SIEVE_CHECK(st != nullptr, "recency-order block %llx is not resident",
+                    static_cast<unsigned long long>(order.value(n)));
+        SIEVE_CHECK(st->node == n,
+                    "block %llx links node %u, found at node %u",
+                    static_cast<unsigned long long>(order.value(n)),
+                    st->node, n);
     }
 }
 

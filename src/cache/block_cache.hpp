@@ -1,45 +1,40 @@
 /**
  * @file
- * Fully-associative block cache (Section 4) over one flat block index.
+ * Fully-associative LRU block cache (Section 4) over one flat block
+ * index.
  *
  * Tracks residency at 512-byte block granularity. Capacity is
  * expressed in blocks (a 16 GB SSD cache holds 31.25 M blocks).
- * Supports both the continuous model (insert with eviction) and
+ * Supports both the continuous model (insert with LRU eviction) and
  * SieveStore-D's discrete model (batchReplace with allocation/
  * replacement cancellation at epoch boundaries).
  *
- * Hot-path layout: residency and replacement-policy state live in a
- * single open-addressing FlatIndex slot per block (PolicyState
+ * Hot-path layout: residency and the block's recency-list node live in
+ * a single open-addressing FlatIndex slot per block (PolicyState
  * payload), so a resident hit is one hash probe that both answers the
- * residency test and reaches the policy's per-block state. The
- * built-in policies (EvictionKind) keep their order books in an
- * index-linked arena (LRU/FIFO/CLOCK) or a dense vector (Random)
- * instead of pointer-linked std::lists. The table is pre-sized for
- * `capacity_blocks` at construction, so steady-state replay never
- * rehashes.
+ * residency test and reaches the node to promote. The recency order is
+ * an index-linked arena (util::IndexList), not a pointer-linked
+ * std::list. The table is pre-sized for `capacity_blocks` at
+ * construction, so steady-state replay never rehashes.
  *
- * Two engines share the index:
- *  - flat (default): EvictionSpec selects a built-in policy whose
- *    transitions are inlined switch dispatch — no virtual calls;
- *  - custom: a virtual ReplacementPolicy (OracleRetain, or the
- *    Reference* seed implementations the differential suites use as
- *    test oracles) runs beside the index; the index holds residency
- *    in both modes.
+ * The paper's continuous configurations all use LRU; allocation, not
+ * replacement, is the lever for SSD writes. The one other replacement
+ * the experiments need is the Section 3.1 oracle ("evicts only those
+ * blocks that are not in the top 1% frequently accessed blocks"),
+ * which is a mode of the same engine: setProtected() installs the
+ * day's protected set, and the victim scan skips protected blocks.
  */
 
 #ifndef SIEVESTORE_CACHE_BLOCK_CACHE_HPP
 #define SIEVESTORE_CACHE_BLOCK_CACHE_HPP
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "cache/replacement.hpp"
 #include "trace/block.hpp"
 #include "util/flat_index.hpp"
 #include "util/flow_annotations.hpp"
-#include "util/random.hpp"
 
 namespace sievestore {
 namespace cache {
@@ -60,50 +55,20 @@ struct BatchReplaceResult
 };
 
 /**
- * Per-resident-block policy state, stored inline in the block index
- * slot (16 bytes). The policy fabric gives every EvictionKind the
- * same two typed words; the kind fixes their interpretation:
- *
- *  kind     | primary                  | secondary
- *  ---------+--------------------------+---------------------------
- *  LRU/FIFO | IndexList node index     | unused
- *  CLOCK    | IndexList node index     | reference bit (0/1)
- *  LFU      | access count (init 1)    | insertion sequence number
- *  Random   | position in victim pool  | unused
- *  SIEVE    | IndexList node index     | visited bit (0/1)
- *  ARC      | IndexList node index     | resident list (1=T1, 2=T2)
- *  TinyLfu  | IndexList node index     | segment (0=window,
- *           |                          |   1=probation, 2=protected)
- *
- * Node indices point into the arena that owns the block's segment
- * (`order` for LRU/FIFO/CLOCK/SIEVE/ARC-T1/window, `order2` for
- * ARC-T2/probation, `order3` for protected). Unused in custom-policy
- * mode (the policy keeps its own state).
+ * Per-resident-block state, stored inline in the block index slot:
+ * the block's node in the recency arena.
  */
 struct PolicyState
 {
-    uint64_t primary;
-    uint64_t secondary;
+    uint32_t node;
 };
 
-/** Fully-associative set of resident blocks with bounded capacity. */
+/** Fully-associative LRU set of resident blocks with bounded capacity. */
 class BlockCache
 {
   public:
-    /**
-     * Flat-engine cache with a built-in policy.
-     * @param capacity_blocks capacity in 512-byte blocks (>= 1)
-     * @param spec            built-in policy selection (default LRU)
-     */
-    explicit BlockCache(uint64_t capacity_blocks, EvictionSpec spec = {});
-
-    /**
-     * Custom-engine cache driving a virtual policy (OracleRetain or a
-     * Reference* seed implementation). A null policy falls back to
-     * the flat default (LRU), preserving the seed signature.
-     */
-    BlockCache(uint64_t capacity_blocks,
-               std::unique_ptr<ReplacementPolicy> policy);
+    /** @param capacity_blocks capacity in 512-byte blocks (>= 1) */
+    explicit BlockCache(uint64_t capacity_blocks);
 
     /** Chunk width of probeBatch (== FlatIndex's). */
     static constexpr size_t kProbeBatch = util::FlatIndex<PolicyState>::kBatchChunk;
@@ -112,8 +77,8 @@ class BlockCache
     bool contains(trace::BlockId block) const;
 
     /**
-     * Access a block: if resident, notifies the replacement policy (LRU
-     * promotion) and returns true; otherwise returns false. One hash
+     * Access a block: if resident, promotes it to the hot end of the
+     * LRU order and returns true; otherwise returns false. One hash
      * probe. Taint sink: cache mutation entry point —
      * residency state must never depend on measured data (this and
      * every mutator below).
@@ -123,21 +88,16 @@ class BlockCache
     /**
      * Probe-gather for the appliance's request loop: `st[i]` points
      * at blocks[i]'s index slot, or nullptr if absent. Runs the
-     * FlatIndex hash-ahead/prefetch kernel; works on both engines
-     * (the index holds residency either way). Pointers follow the
+     * FlatIndex hash-ahead/prefetch kernel. Pointers follow the
      * FlatIndex invalidation rule: consume them before any
      * insert/erase on this cache.
      */
     SIEVE_TAINT_SINK void probeBatch(std::span<const trace::BlockId> blocks,
                                      std::span<PolicyState *> st);
 
-    /** Apply the resident-hit policy transition to a gathered state
-     *  (the mutate phase of a probe-gathered hit): the custom
-     *  policy's onAccess, or the flat transition on the inline state.
-     *  The block key is needed by the custom engine and by the
-     *  sketch/segment kinds (TinyLfu, ARC). */
-    SIEVE_TAINT_SINK void touchProbed(trace::BlockId block,
-                                      PolicyState &st);
+    /** Promote a gathered resident block (the mutate phase of a
+     *  probe-gathered hit). */
+    SIEVE_TAINT_SINK void touchProbed(PolicyState &st);
 
     /**
      * Make a block resident, evicting a victim if at capacity.
@@ -167,103 +127,58 @@ class BlockCache
                  std::vector<trace::BlockId> *allocated_out = nullptr,
                  std::vector<trace::BlockId> *evicted_out = nullptr);
 
+    /**
+     * Section 3.1 oracle mode: replace the protected set. While it is
+     * non-empty, the victim is the coldest unprotected block; protected
+     * blocks met at the cold end are moved to the hot end so repeated
+     * evictions do not rescan them (amortized O(1) per eviction, and
+     * they are protected anyway, so the move cannot change which
+     * blocks survive). If every resident block is protected the
+     * victim is the LRU tail. An empty set is plain LRU. Allocates;
+     * call it between days, outside the batch no-alloc region.
+     */
+    SIEVE_TAINT_SINK void
+    setProtected(std::span<const trace::BlockId> blocks);
+
     uint64_t size() const { return index.size(); }
     uint64_t capacity() const { return capacity_blocks; }
     bool full() const { return index.size() >= capacity_blocks; }
-
-    /** Active policy name ("LRU", "CLOCK", "OracleRetain", ...). */
-    const char *policyName() const;
-
-    /** The custom policy, or nullptr when the flat engine is active. */
-    ReplacementPolicy *customPolicy() { return custom.get(); }
-    const ReplacementPolicy *customPolicy() const { return custom.get(); }
 
     /** Snapshot of resident blocks (unordered). */
     std::vector<trace::BlockId> contents() const;
 
     /**
-     * Footprint of all per-block cache metadata — the shared
-     * residency+policy index plus the policy's order book
-     * (util/footprint.hpp convention). Replacement state is included:
-     * the flat engine stores it inline in the index slots, so it is
-     * not separable from residency.
+     * Footprint of all per-block cache metadata — the residency index,
+     * the recency arena and the protected set (util/footprint.hpp
+     * convention).
      */
     uint64_t memoryBytes() const;
 
     /**
      * Audit occupancy accounting: the block index is structurally
-     * sound, never exceeds capacity, and the policy state mirrors it
-     * exactly (order book / pool / custom policy track the same
-     * blocks). O(size); aborts on violation.
+     * sound, never exceeds capacity, and the recency arena mirrors it
+     * exactly. O(size); aborts on violation.
      */
     void checkInvariants() const;
 
   private:
     using BlockIndex = util::FlatIndex<PolicyState>;
 
-    /** Flat-policy transition helpers (no-ops in custom mode). */
-    void policyInsert(trace::BlockId block, PolicyState &st);
-    void policyAccess(trace::BlockId block, PolicyState &st);
-    void policyErase(trace::BlockId block, const PolicyState &st);
-    trace::BlockId policyVictim(trace::BlockId incoming);
+    /** The block to evict next. @pre the cache is not empty. */
+    trace::BlockId victim();
 
-    /** ARC ghost-hit adaptation + landing-side decision (the flat
-     * twin of ReferenceArcPolicy::adapt). */
-    void arcAdapt(trace::BlockId incoming);
-
-    /** Reserve the index and engage the active kind's fabric state
-     * (extra arenas, ghost directories, sketch). */
-    void initFlatEngine();
-
-    /** Evict `block`: policy bookkeeping plus index removal. */
+    /** Evict `block`: arena unlink plus index removal. */
     void eraseResident(trace::BlockId block);
 
     uint64_t capacity_blocks;
-    EvictionSpec spec;
-    /** Non-null selects the custom engine. */
-    std::unique_ptr<ReplacementPolicy> custom;
 
-    /** Residency + per-block policy state, one slot per block. */
+    /** Residency + recency node, one slot per block. */
     BlockIndex index;
-    /** Primary order book: LRU/FIFO recency order (front = hottest),
-     * CLOCK ring, SIEVE queue (front = newest), ARC T1, or the
-     * TinyLfu admission window. */
+    /** Recency order, front = hottest. */
     util::IndexList order;
-    /** Secondary order book: ARC T2 or TinyLfu probation. */
-    util::IndexList order2;
-    /** Tertiary order book: TinyLfu protected segment. */
-    util::IndexList order3;
-    /** CLOCK/SIEVE hand: node index into `order`, kNull = wrapped. */
-    uint32_t hand = util::IndexList::kNull;
-    /** Random: dense victim pool (swap-with-last on erase). */
-    std::vector<trace::BlockId> pool;
-    /** LFU insertion-sequence source. */
-    uint64_t lfu_sequence = 0;
-    util::Rng rng;
-
-    /** Recency-side ghost: ARC B1 (evicted from T1) or the TinyLfu
-     * rejected-candidate set. Engaged only for those kinds. */
-    std::optional<GhostCache> ghost_recent;
-    /** Frequency-side ghost: ARC B2 (evicted from T2). */
-    std::optional<GhostCache> ghost_frequent;
-    /** TinyLfu admission-frequency sketch. */
-    std::optional<util::CountMinSketch> sketch;
-
-    /** ARC adaptation target for |T1|, in [0, capacity]. */
-    uint64_t arc_p = 0;
-    /** ARC landing side decided by arcAdapt(): true -> T2. */
-    bool arc_to_t2 = false;
-    /** arcAdapt() already ran for the upcoming insert (set by
-     * policyVictim, consumed by policyInsert). */
-    bool arc_prepared = false;
-    /** Last arcAdapt() hit B2 (REPLACE tie-break). */
-    bool arc_last_in_b2 = false;
-    /** Next policyErase is a directory replacement that must not be
-     * ghost-recorded (ARC Case IV(a) with T1 full). */
-    bool arc_suppress_ghost = false;
-
-    /** TinyLfu region split (all zero for other kinds). */
-    TinyLfuShape tlfu{};
+    /** Oracle mode's protected set (empty = plain LRU); only the
+     * victim scan reads it. */
+    util::FlatIndex<uint8_t> protected_blocks;
 };
 
 } // namespace cache

@@ -1,7 +1,6 @@
 #include "core/appliance.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "trace/expand.hpp"
 #include "util/alloc_guard.hpp"
@@ -15,16 +14,6 @@ namespace core {
 using trace::BlockId;
 
 namespace {
-
-/** Pick the cache engine: custom policy if configured, else flat. */
-cache::BlockCache
-makeCache(const ApplianceConfig &config)
-{
-    if (config.replacement)
-        return cache::BlockCache(config.cache_blocks,
-                                 config.replacement());
-    return cache::BlockCache(config.cache_blocks, config.eviction);
-}
 
 /** Initial capacity of the in-flight allocation structures. */
 constexpr size_t kPendingReserve = 1024;
@@ -67,7 +56,7 @@ sumReports(const std::vector<DailyReport> &days)
 Appliance::Appliance(ApplianceConfig config,
                      std::unique_ptr<AllocationPolicy> policy)
     : cfg(std::move(config)), policy_(std::move(policy)),
-      cache_(makeCache(cfg))
+      cache_(cfg.cache_blocks)
 {
     if (!policy_)
         util::fatal("appliance requires an allocation policy");
@@ -96,7 +85,7 @@ Appliance::reportFor(util::TimeUs t)
 bool
 Appliance::flatEnginesOnly() const
 {
-    return !occupancy_ && cache_.customPolicy() == nullptr;
+    return !occupancy_;
 }
 
 void
@@ -368,7 +357,7 @@ Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
                 ++rep.read_accesses;
 
             if (st[i] != nullptr) {
-                cache_.touchProbed(block, *st[i]);
+                cache_.touchProbed(*st[i]);
                 ++rep.hits;
                 if (is_read)
                     ++rep.read_hits;

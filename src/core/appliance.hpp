@@ -13,7 +13,9 @@
  *    corresponding request in the original trace completed", with
  *    linear interpolation for individual blocks of multi-block requests
  *    (the allocation queue below);
- *  - continuous configurations use LRU replacement; discrete
+ *  - continuous configurations use LRU replacement (the cache's one
+ *    engine; the Section 3.1 oracle is its protected-set mode, see
+ *    cache::BlockCache::setProtected); discrete
  *    configurations batch-allocate at epoch boundaries with
  *    cancellation of retained blocks, and their staggered batch moves
  *    are excluded from drive-occupancy by default ("SieveStore-D
@@ -29,7 +31,6 @@
 #define SIEVESTORE_CORE_APPLIANCE_HPP
 
 #include <climits>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -56,18 +57,6 @@ struct ApplianceConfig
     bool track_occupancy = true;
     /** Charge discrete batch moves to drive occupancy (ablation). */
     bool charge_batch_to_occupancy = false;
-    /**
-     * Built-in eviction policy for the cache's flat engine (defaults
-     * to the paper's LRU). Ignored when `replacement` is set.
-     */
-    cache::EvictionSpec eviction;
-    /**
-     * Custom replacement-policy factory; null selects the flat engine
-     * with `eviction`. Used by the Section 3.1 oracle-replacement
-     * experiments (OracleRetain needs per-day protected-set state).
-     */
-    std::function<std::unique_ptr<cache::ReplacementPolicy>()>
-        replacement;
     /**
      * Storage observation engine: every 4 KB I/O unit the analytic
      * model charges is also drained through this backend (analytic
@@ -237,16 +226,16 @@ class Appliance
     const char *policyName() const;
 
     const cache::BlockCache &blockCache() const { return cache_; }
-    /** Mutable cache access (oracle experiments install protected
-     * sets on the replacement policy between days). */
+    /** Mutable cache access (the Section 3.1 oracle experiment
+     * installs each day's protected set between days). */
     cache::BlockCache &blockCache() { return cache_; }
 
     /** Metastate footprint of the sieve structures, in bytes. */
     uint64_t metastateBytes() const;
 
     /**
-     * Audit appliance-level accounting: the cache and its policy agree
-     * on residency, every in-flight allocation appears in both the
+     * Audit appliance-level accounting: the cache's index and recency
+     * order agree on residency, every in-flight allocation appears in both the
      * queue and the pending set, per-day reports are internally
      * consistent (hits never exceed accesses, read + write hits equal
      * total hits), and the sieve's own invariants hold. O(cache size);
@@ -274,13 +263,13 @@ class Appliance
      */
     void processRequestInto(const trace::Request &req, DailyReport &rep);
     /**
-     * True for the production request path: the flat cache, no
-     * occupancy tracker. These are the configurations whose hot loop
+     * True for the production request path: no occupancy tracker.
+     * These are the configurations whose hot loop
      * is claimed — and then enforced — to be allocation-free per
      * batch, so every AllocationPolicy's onMiss / onHit and prefetch
      * hints must be too, epoch-batched counters included
-     * (growth points exempt themselves). Custom replacement policies
-     * and the occupancy tracker make no such promise.
+     * (growth points exempt themselves). The occupancy tracker makes
+     * no such promise.
      */
     bool flatEnginesOnly() const;
 

@@ -55,7 +55,7 @@
 // cache: the block-cache substrate
 #include "cache/belady.hpp"
 #include "cache/block_cache.hpp"
-#include "cache/replacement.hpp"
+#include "cache/ghost_cache.hpp"
 
 // core: SieveStore itself
 #include "core/alloc_policy.hpp"

@@ -43,6 +43,24 @@ MsrCsvReader::parseLine(const std::string &line, Request &out)
         util::fatal("%s: bad offset/size/duration in line '%s'",
                     path.c_str(), line.c_str());
     }
+    const bool is_write = type == "write" || type == "w";
+    if (!is_write && type != "read" && type != "r")
+        util::fatal("%s: unknown op type '%s' in line '%s'", path.c_str(),
+                    type.c_str(), line.c_str());
+    // A request that touches any byte of a block accesses the block.
+    uint64_t end_byte = 0;
+    if (__builtin_add_overflow(offset, size == 0 ? 1 : size, &end_byte))
+        util::fatal("%s: offset + size overflows in line '%s'",
+                    path.c_str(), line.c_str());
+    const uint64_t offset_blocks = offset / kBlockBytes;
+    const uint64_t end_block =
+        end_byte / kBlockBytes + (end_byte % kBlockBytes != 0 ? 1 : 0);
+    if (end_block - offset_blocks > UINT32_MAX)
+        util::fatal("%s: extent of %llu blocks exceeds 2^32-1 in line '%s'",
+                    path.c_str(),
+                    static_cast<unsigned long long>(end_block -
+                                                    offset_blocks),
+                    line.c_str());
 
     const auto it = host_map.find(host);
     if (it == host_map.end()) {
@@ -78,13 +96,9 @@ MsrCsvReader::parseLine(const std::string &line, Request &out)
     out.time = (ticks - origin) / kTicksPerUs;
     out.volume = srv.volume_ids[disk];
     out.server = srv.id;
-    out.op = (type == "write" || type == "w") ? Op::Write : Op::Read;
-    out.offset_blocks = offset / kBlockBytes;
-    // A request that touches any byte of a block accesses the block.
-    const uint64_t end_byte = offset + (size == 0 ? 1 : size);
-    const uint64_t end_block = (end_byte + kBlockBytes - 1) / kBlockBytes;
-    out.length_blocks =
-        static_cast<uint32_t>(end_block - out.offset_blocks);
+    out.op = is_write ? Op::Write : Op::Read;
+    out.offset_blocks = offset_blocks;
+    out.length_blocks = static_cast<uint32_t>(end_block - offset_blocks);
     out.latency_us = static_cast<uint32_t>(duration / kTicksPerUs);
     return true;
 }

@@ -2,9 +2,9 @@
  * @file
  * AllocGuard behavior: violations abort (death tests), disarm and
  * conditional regions pass allocations through, and — the property
- * the guard exists to enforce — the flat cache engine's steady state
- * runs entire op loops with zero allocations under every built-in
- * eviction policy. The appliance's batch region arms for every
+ * the guard exists to enforce — the LRU cache's steady state runs
+ * entire op loops with zero allocations, its Section 3.1 protected-set
+ * scan included. The appliance's batch region arms for every
  * policy on a flat, occupancy-free appliance — continuous and
  * epoch-batched, injected ones included.
  */
@@ -21,12 +21,12 @@
 #include <gtest/gtest.h>
 
 #include "cache/block_cache.hpp"
-#include "cache/replacement.hpp"
 #include "core/appliance.hpp"
 #include "core/auto_tune.hpp"
 #include "core/discrete.hpp"
 #include "core/imct.hpp"
 #include "core/mct.hpp"
+#include "core/unsieved.hpp"
 #include "core/windowed_counter.hpp"
 #include "sim/driver.hpp"
 #include "trace/trace_reader.hpp"
@@ -36,8 +36,6 @@
 
 using sievestore::analysis::AccessLogConfig;
 using sievestore::cache::BlockCache;
-using sievestore::cache::EvictionKind;
-using sievestore::cache::EvictionSpec;
 using sievestore::core::AdbaSelector;
 using sievestore::core::AllocationPolicy;
 using sievestore::core::AllocDecision;
@@ -355,19 +353,22 @@ TEST(AllocGuard, AllocationCountAdvancesOnNew)
 TEST(AllocGuard, SteadyStateCacheOpsAllocateNothing)
 {
     // The quantitative form of the pass-through tests below: a
-    // pre-reserved flat cache at capacity must run access, insert
-    // (with eviction), and erase+reinsert without a single heap
-    // allocation, under every built-in policy.
+    // pre-reserved cache at capacity must run access, insert (with
+    // eviction), and erase+reinsert without a single heap allocation,
+    // in plain LRU and with a protected set whose victim scan rotates
+    // protected blocks.
     constexpr uint64_t kCapacity = 64;
-    for (const EvictionKind kind :
-         {EvictionKind::Lru, EvictionKind::Fifo, EvictionKind::Clock,
-          EvictionKind::Lfu, EvictionKind::Random}) {
-        EvictionSpec spec;
-        spec.kind = kind;
-        BlockCache cache(kCapacity, spec);
+    for (const bool oracle : {false, true}) {
+        BlockCache cache(kCapacity);
         for (uint64_t b = 0; b < kCapacity; ++b)
             cache.insert(b);
         ASSERT_EQ(cache.size(), kCapacity);
+        if (oracle) {
+            std::vector<BlockId> protect;
+            for (uint64_t b = 0; b < kCapacity; b += 2)
+                protect.push_back(b);
+            cache.setProtected(protect);
+        }
 
         const uint64_t before = AllocGuard::allocationCount();
         for (uint64_t i = 0; i < 2000; ++i) {
@@ -377,9 +378,30 @@ TEST(AllocGuard, SteadyStateCacheOpsAllocateNothing)
             cache.insert(kCapacity + i);
         }
         EXPECT_EQ(AllocGuard::allocationCount(), before)
-            << "policy " << static_cast<int>(kind)
-            << " allocated in steady state";
+            << (oracle ? "protected-set" : "LRU")
+            << " cache allocated in steady state";
     }
+}
+
+TEST(AllocGuard, OracleApplianceReplaysUnderTheArmedRegion)
+{
+    // The Section 3.1 configuration: AOD with each day's protected set
+    // installed between days, outside the region. The victim scan
+    // runs inside the armed batch region on every eviction.
+    Appliance app(flatApplianceConfig(),
+                  std::make_unique<sievestore::core::AodPolicy>());
+    // Protect the trace's hot blocks (16 requests x 8 blocks).
+    std::vector<BlockId> protect;
+    for (uint64_t b = 0; b < 16 * 8; ++b)
+        protect.push_back(sievestore::trace::makeBlockId(1, b));
+    app.blockCache().setProtected(protect);
+    const std::vector<Request> reqs = epochTrace();
+    sievestore::trace::VectorTrace trace(reqs);
+    sievestore::sim::runTrace(trace, app);
+    EXPECT_EQ(app.totals().accesses, reqs.size() * 8);
+    EXPECT_GT(app.totals().hits, 0u);
+    for (BlockId b : protect)
+        EXPECT_TRUE(app.blockCache().contains(b)) << b;
 }
 
 #endif // SIEVE_ALLOC_GUARD_DISABLED
@@ -395,18 +417,6 @@ TEST(AllocGuard, DisengagedConditionalRegionPermitsAllocation)
 {
     SIEVE_ASSERT_NO_ALLOC_WHEN(2 + 2 == 5);
     allocateSomething();
-}
-
-TEST(AllocGuard, ReferencePolicyCacheOpsPassThrough)
-{
-    // The node-based reference engine allocates per insert by design;
-    // BlockCache's internal regions are conditioned on the flat
-    // engine, so custom-policy caches must run unguarded.
-    BlockCache cache(
-        32, sievestore::cache::makeReferencePolicy(EvictionSpec{}, 32));
-    for (uint64_t b = 0; b < 200; ++b)
-        cache.insert(b);
-    EXPECT_EQ(cache.size(), 32u);
 }
 
 TEST(AllocGuard, GuardedSieveAndQueueOpsRunCleanly)

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "cache/block_cache.hpp"
-#include "cache/replacement.hpp"
 #include "util/logging.hpp"
 #include "util/random.hpp"
 
@@ -138,93 +137,6 @@ TEST(BlockCache, ContentsSnapshot)
     auto contents = cache.contents();
     std::sort(contents.begin(), contents.end());
     EXPECT_EQ(contents, (std::vector<BlockId>{10, 20}));
-}
-
-/** All built-in kinds, across both cache engines. */
-std::vector<BlockCache>
-everyEngine(uint64_t capacity, EvictionKind kind)
-{
-    std::vector<BlockCache> caches;
-    caches.emplace_back(capacity, EvictionSpec{kind, 3});
-    caches.emplace_back(
-        capacity, makeReferencePolicy(EvictionSpec{kind, 3}, capacity));
-    return caches;
-}
-
-const EvictionKind kEveryKind[] = {EvictionKind::Lru,
-                                   EvictionKind::Fifo,
-                                   EvictionKind::Clock,
-                                   EvictionKind::Lfu,
-                                   EvictionKind::Random};
-
-TEST(BlockCache, BatchReplaceAccountingHoldsForEveryPolicy)
-{
-    // The Section 3.2 cancellation semantics are policy-independent:
-    // retained + evicted equals the outgoing size, retained +
-    // allocated the installed size, for FIFO/CLOCK/Random/LFU just as
-    // for LRU.
-    for (const EvictionKind kind : kEveryKind) {
-        for (BlockCache &cache : everyEngine(10, kind)) {
-            for (BlockId b = 1; b <= 5; ++b)
-                cache.insert(b);
-            const BatchReplaceResult r = cache.batchReplace({4, 5, 6, 7});
-            EXPECT_EQ(r.retained, 2u) << evictionKindName(kind);
-            EXPECT_EQ(r.evicted, 3u) << evictionKindName(kind);
-            EXPECT_EQ(r.allocated, 2u) << evictionKindName(kind);
-            EXPECT_EQ(cache.size(), 4u) << evictionKindName(kind);
-            EXPECT_TRUE(cache.contains(6));
-            EXPECT_FALSE(cache.contains(1));
-            cache.checkInvariants();
-        }
-    }
-}
-
-TEST(BlockCache, BatchReplaceTruncationHoldsForEveryPolicy)
-{
-    for (const EvictionKind kind : kEveryKind) {
-        for (BlockCache &cache : everyEngine(3, kind)) {
-            std::vector<BlockId> incoming;
-            for (BlockId b = 0; b < 10; ++b)
-                incoming.push_back(b);
-            const BatchReplaceResult r = cache.batchReplace(incoming);
-            EXPECT_EQ(r.allocated, 3u) << evictionKindName(kind);
-            EXPECT_EQ(cache.size(), 3u) << evictionKindName(kind);
-            EXPECT_TRUE(cache.contains(0));
-            EXPECT_TRUE(cache.contains(2));
-            EXPECT_FALSE(cache.contains(3));
-            cache.checkInvariants();
-        }
-    }
-}
-
-TEST(BlockCache, BatchThenContinuousInteroperateForEveryPolicy)
-{
-    // After an epoch batch, the policy's continuous machinery must be
-    // fully primed: inserts evict exactly one victim and hits behave
-    // per the policy, with invariants intact throughout.
-    for (const EvictionKind kind : kEveryKind) {
-        for (BlockCache &cache : everyEngine(4, kind)) {
-            cache.batchReplace({1, 2, 3, 4});
-            for (BlockId b = 10; b < 40; ++b) {
-                if (!cache.access(b)) {
-                    const auto victim = cache.insert(b);
-                    ASSERT_TRUE(victim.has_value())
-                        << evictionKindName(kind);
-                    EXPECT_FALSE(cache.contains(*victim));
-                }
-                ASSERT_EQ(cache.size(), 4u) << evictionKindName(kind);
-            }
-            cache.checkInvariants();
-            // A second batch over a post-batch-churned cache.
-            const BatchReplaceResult r =
-                cache.batchReplace({100, 101, 102});
-            EXPECT_EQ(r.retained + r.evicted, 4u)
-                << evictionKindName(kind);
-            EXPECT_EQ(r.retained + r.allocated, 3u)
-                << evictionKindName(kind);
-            cache.checkInvariants();
-        }
-    }
 }
 
 TEST(BlockCache, SizeNeverExceedsCapacityUnderRandomOps)

@@ -1,16 +1,16 @@
 /**
  * @file
- * Differential proof that the flat block-index cache engine is
- * behavior-identical to the node-based Reference* policies it
- * replaced.
+ * Differential proof that the flat block-index LRU cache makes the
+ * same decisions as a node-based LRU model (tests/reference_lru.hpp),
+ * and appliance-level pins of the request loop's totals.
  *
- * The refactor's claim is not "roughly the same policy" but
- * *bit-identical decisions*: the same victim on every insert, the
- * same BatchReplaceResult on every epoch swap, and therefore the same
- * DailyReport on every node of every experiment. These tests drive
- * both engines op-for-op over randomized streams for every built-in
- * eviction kind, then replay full appliances (continuous and
- * discrete) and compare every field of every day's report.
+ * The cache-level claim is *bit-identical decisions*: the same victim
+ * on every insert, in plain LRU and in the Section 3.1 protected-set
+ * mode, the same BatchReplaceResult on every epoch swap, and the same
+ * residency after every operation. The appliance-level claim is that
+ * every probe-loop dispatch and decode batch size replays the same
+ * per-day reports, equal to totals pinned from the node-based
+ * replacement engine the flat cache replaced.
  */
 
 #include <gtest/gtest.h>
@@ -19,118 +19,130 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "cache/block_cache.hpp"
-#include "cache/replacement.hpp"
 #include "core/appliance.hpp"
 #include "core/rand_sieve.hpp"
 #include "core/sievestore_c.hpp"
 #include "core/unsieved.hpp"
+#include "reference_lru.hpp"
 #include "sim/driver.hpp"
-#include "sim/experiment.hpp"
 #include "util/random.hpp"
-#include "util/sim_time.hpp"
 
 namespace {
 
 using namespace sievestore;
 using namespace sievestore::cache;
 using core::DailyReport;
+using sievestore::testing::ReferenceLru;
 using sievestore::trace::BlockId;
 using sievestore::util::Rng;
 
-const EvictionKind kAllKinds[] = {EvictionKind::Lru, EvictionKind::Fifo,
-                                  EvictionKind::Clock, EvictionKind::Lfu,
-                                  EvictionKind::Random};
-
-/** Builds one of the batched-kernel matrix's continuous sieves. */
-using SieveFactory = std::unique_ptr<core::AllocationPolicy> (*)();
-
-/** AOD, WMNA, SieveStore-C and RandSieve-C, built by their
- * constructors and passed to Appliance(config, policy). */
-const SieveFactory kSieves[] = {
-    []() -> std::unique_ptr<core::AllocationPolicy> {
-        return std::make_unique<core::AodPolicy>();
-    },
-    []() -> std::unique_ptr<core::AllocationPolicy> {
-        return std::make_unique<core::WmnaPolicy>();
-    },
-    []() -> std::unique_ptr<core::AllocationPolicy> {
-        core::SieveStoreCConfig cfg;
-        cfg.imct_slots = 1 << 12;
-        return std::make_unique<core::SieveStoreCPolicy>(cfg);
-    },
-    []() -> std::unique_ptr<core::AllocationPolicy> {
-        return std::make_unique<core::RandSieveCPolicy>(0.05, 17);
-    },
-};
-
 // ---- cache-level op stream ----------------------------------------
 
+void
+expectSameContents(const BlockCache &flat, const ReferenceLru &model,
+                   const std::string &where)
+{
+    auto f = flat.contents();
+    auto r = model.contents();
+    std::sort(f.begin(), f.end());
+    std::sort(r.begin(), r.end());
+    ASSERT_EQ(f, r) << where;
+}
+
 /**
- * Drive both engines with an identical random stream of access /
- * insert / erase / probe-gather bursts and require identical
- * observable behavior after every single operation: hit results,
- * eviction victims, residency, and size. The burst is the appliance
- * request loop's shape — probeBatch over up to kProbeBatch keys
- * (duplicates included), then touchProbed on the hits in order — so
- * the custom (reference) engine's probe-gather path is pinned
- * against the flat one.
+ * Drive the flat cache and the model with an identical random stream
+ * and require identical observable behavior after every operation:
+ * hit results, eviction victims, batch accounting, residency and
+ * size. The ops are access (insert on miss, the appliance hot path),
+ * erase, a probe-gather burst (probeBatch over up to kProbeBatch keys,
+ * duplicates included, then touchProbed on the hits in order — the
+ * appliance request loop's shape), batchReplace, and setProtected
+ * (empty sets included, so the stream moves in and out of oracle
+ * mode).
  */
 void
-differentialOpStream(EvictionKind kind, uint64_t capacity,
-                     uint64_t key_space, uint64_t seed, int ops)
+differentialOpStream(uint64_t capacity, uint64_t key_space, uint64_t seed,
+                     int ops)
 {
-    const EvictionSpec spec{kind, 11};
-    BlockCache flat(capacity, spec);
-    BlockCache reference(capacity, makeReferencePolicy(spec, capacity));
+    BlockCache flat(capacity);
+    ReferenceLru model(capacity);
     Rng rng(seed);
-    const std::string label = evictionKindName(kind);
+    const std::string label = "capacity " + std::to_string(capacity) +
+                              " keys " + std::to_string(key_space);
 
     for (int op = 0; op < ops; ++op) {
         const BlockId b = rng.nextBelow(key_space);
-        switch (rng.nextBelow(8)) {
-          case 0: { // erase
+        switch (rng.nextBelow(16)) {
+          case 0:
+          case 1: { // erase
             const bool f = flat.erase(b);
-            const bool r = reference.erase(b);
+            const bool r = model.erase(b);
             ASSERT_EQ(f, r) << label << " erase(" << b << ") op " << op;
             break;
           }
-          case 1: { // probe-gather burst, hits touched in order
+          case 2:
+          case 3: { // probe-gather burst, hits touched in order
             constexpr size_t kMax = BlockCache::kProbeBatch;
             BlockId keys[kMax];
-            PolicyState *f_st[kMax];
-            PolicyState *r_st[kMax];
+            PolicyState *st[kMax];
             const size_t n = 1 + rng.nextBelow(kMax);
             keys[0] = b;
             for (size_t i = 1; i < n; ++i)
                 keys[i] = rng.nextBool(0.25) ? keys[rng.nextBelow(i)]
                                              : rng.nextBelow(key_space);
             flat.probeBatch(std::span<const BlockId>(keys, n),
-                            std::span<PolicyState *>(f_st, n));
-            reference.probeBatch(std::span<const BlockId>(keys, n),
-                                 std::span<PolicyState *>(r_st, n));
+                            std::span<PolicyState *>(st, n));
             for (size_t i = 0; i < n; ++i) {
-                ASSERT_EQ(f_st[i] != nullptr, r_st[i] != nullptr)
+                ASSERT_EQ(st[i] != nullptr, model.contains(keys[i]))
                     << label << " probe(" << keys[i] << ") op " << op;
-                ASSERT_EQ(f_st[i] != nullptr, flat.contains(keys[i]))
+                ASSERT_EQ(st[i] != nullptr, flat.contains(keys[i]))
                     << label << " probe(" << keys[i] << ") op " << op;
-                if (f_st[i] != nullptr) {
-                    flat.touchProbed(keys[i], *f_st[i]);
-                    reference.touchProbed(keys[i], *r_st[i]);
+            }
+            for (size_t i = 0; i < n; ++i) {
+                if (st[i] != nullptr) {
+                    flat.touchProbed(*st[i]);
+                    model.access(keys[i]);
                 }
             }
             break;
           }
-          default: { // access, insert on miss (the appliance hot path)
+          case 4: { // epoch batch: sometimes oversized or duplicated
+            std::vector<BlockId> incoming;
+            const uint64_t n = rng.nextBelow(2 * capacity + 2);
+            for (uint64_t i = 0; i < n; ++i)
+                incoming.push_back(rng.nextBelow(key_space));
+            const BatchReplaceResult f = flat.batchReplace(incoming);
+            const BatchReplaceResult r = model.batchReplace(incoming);
+            ASSERT_EQ(f.retained, r.retained) << label << " op " << op;
+            ASSERT_EQ(f.evicted, r.evicted) << label << " op " << op;
+            ASSERT_EQ(f.allocated, r.allocated) << label << " op " << op;
+            expectSameContents(flat, model,
+                               label + " batch op " + std::to_string(op));
+            ASSERT_FALSE(::testing::Test::HasFatalFailure());
+            break;
+          }
+          case 5: { // a new protected set (a quarter of them empty)
+            std::vector<BlockId> set;
+            if (!rng.nextBool(0.25)) {
+                const uint64_t n = 1 + rng.nextBelow(capacity + 1);
+                for (uint64_t i = 0; i < n; ++i)
+                    set.push_back(rng.nextBelow(key_space));
+            }
+            flat.setProtected(set);
+            model.setProtected({set.begin(), set.end()});
+            break;
+          }
+          default: { // access, insert on miss
             const bool f_hit = flat.access(b);
-            const bool r_hit = reference.access(b);
-            ASSERT_EQ(f_hit, r_hit)
+            ASSERT_EQ(f_hit, model.access(b))
                 << label << " access(" << b << ") op " << op;
             if (!f_hit) {
                 const auto f_victim = flat.insert(b);
-                const auto r_victim = reference.insert(b);
+                const auto r_victim = model.insert(b);
                 ASSERT_EQ(f_victim, r_victim)
                     << label << " victim for insert(" << b << ") op "
                     << op;
@@ -138,109 +150,42 @@ differentialOpStream(EvictionKind kind, uint64_t capacity,
             break;
           }
         }
-        ASSERT_EQ(flat.size(), reference.size()) << label;
+        ASSERT_EQ(flat.size(), model.size()) << label;
     }
     flat.checkInvariants();
-    reference.checkInvariants();
-
-    auto f_contents = flat.contents();
-    auto r_contents = reference.contents();
-    std::sort(f_contents.begin(), f_contents.end());
-    std::sort(r_contents.begin(), r_contents.end());
-    EXPECT_EQ(f_contents, r_contents) << label;
+    expectSameContents(flat, model, label + " end");
 }
 
-TEST(FlatCacheDifferential, OpStreamMatchesReferenceEveryKind)
+TEST(FlatCacheDifferential, OpStreamMatchesReferenceLru)
 {
-    for (const EvictionKind kind : kAllKinds) {
-        // Tight key space: constant eviction pressure.
-        differentialOpStream(kind, 64, 256, 42, 60000);
-        // Wide key space: mostly-miss streaming.
-        differentialOpStream(kind, 64, 1 << 16, 43, 60000);
-        // Capacity 1 and 2: the degenerate rings/lists.
-        differentialOpStream(kind, 1, 16, 44, 5000);
-        differentialOpStream(kind, 2, 16, 45, 5000);
-    }
-}
-
-// ---- batchReplace -------------------------------------------------
-
-/**
- * Interleave continuous ops with epoch-style batch replacements and
- * require identical BatchReplaceResults and identical residency —
- * this is exactly the discrete appliance's usage pattern.
- */
-void
-differentialBatch(EvictionKind kind, uint64_t seed)
-{
-    const EvictionSpec spec{kind, 5};
-    const uint64_t capacity = 128;
-    BlockCache flat(capacity, spec);
-    BlockCache reference(capacity, makeReferencePolicy(spec, capacity));
-    Rng rng(seed);
-    const std::string label = evictionKindName(kind);
-
-    for (int epoch = 0; epoch < 30; ++epoch) {
-        // A continuous phase...
-        for (int op = 0; op < 500; ++op) {
-            const BlockId b = rng.nextBelow(600);
-            const bool f_hit = flat.access(b);
-            ASSERT_EQ(f_hit, reference.access(b)) << label;
-            if (!f_hit) {
-                ASSERT_EQ(flat.insert(b), reference.insert(b))
-                    << label;
-            }
-        }
-        // ...then an epoch batch, sometimes oversized, sometimes
-        // overlapping the resident set, sometimes with duplicates.
-        std::vector<BlockId> incoming;
-        const uint64_t n = rng.nextBelow(200);
-        for (uint64_t i = 0; i < n; ++i)
-            incoming.push_back(rng.nextBelow(600));
-        const BatchReplaceResult f = flat.batchReplace(incoming);
-        const BatchReplaceResult r = reference.batchReplace(incoming);
-        EXPECT_EQ(f.retained, r.retained) << label << " epoch " << epoch;
-        EXPECT_EQ(f.evicted, r.evicted) << label << " epoch " << epoch;
-        EXPECT_EQ(f.allocated, r.allocated)
-            << label << " epoch " << epoch;
-        ASSERT_EQ(flat.size(), reference.size()) << label;
-        flat.checkInvariants();
-        reference.checkInvariants();
-
-        auto f_contents = flat.contents();
-        auto r_contents = reference.contents();
-        std::sort(f_contents.begin(), f_contents.end());
-        std::sort(r_contents.begin(), r_contents.end());
-        ASSERT_EQ(f_contents, r_contents) << label;
-    }
-}
-
-TEST(FlatCacheDifferential, BatchReplaceMatchesReferenceEveryKind)
-{
-    for (const EvictionKind kind : kAllKinds)
-        differentialBatch(kind, 7 + static_cast<uint64_t>(kind));
+    // Tight key space: constant eviction pressure, protected scans
+    // that often meet a fully protected cache.
+    differentialOpStream(64, 256, 42, 60000);
+    // Wide key space: mostly-miss streaming.
+    differentialOpStream(64, 1 << 16, 43, 60000);
+    // Capacity 1 and 2: the degenerate lists.
+    differentialOpStream(1, 16, 44, 5000);
+    differentialOpStream(2, 16, 45, 5000);
 }
 
 // ---- appliance-level ----------------------------------------------
 
 /** Field-for-field equality of one day's report. */
 void
-expectReportEq(const DailyReport &flat, const DailyReport &reference,
+expectReportEq(const DailyReport &got, const DailyReport &want,
                const std::string &where)
 {
-    EXPECT_EQ(flat.accesses, reference.accesses) << where;
-    EXPECT_EQ(flat.read_accesses, reference.read_accesses) << where;
-    EXPECT_EQ(flat.hits, reference.hits) << where;
-    EXPECT_EQ(flat.read_hits, reference.read_hits) << where;
-    EXPECT_EQ(flat.write_hits, reference.write_hits) << where;
-    EXPECT_EQ(flat.allocation_write_blocks,
-              reference.allocation_write_blocks)
+    EXPECT_EQ(got.accesses, want.accesses) << where;
+    EXPECT_EQ(got.read_accesses, want.read_accesses) << where;
+    EXPECT_EQ(got.hits, want.hits) << where;
+    EXPECT_EQ(got.read_hits, want.read_hits) << where;
+    EXPECT_EQ(got.write_hits, want.write_hits) << where;
+    EXPECT_EQ(got.allocation_write_blocks, want.allocation_write_blocks)
         << where;
-    EXPECT_EQ(flat.batch_moved_blocks, reference.batch_moved_blocks)
-        << where;
-    EXPECT_EQ(flat.ssd_read_ios, reference.ssd_read_ios) << where;
-    EXPECT_EQ(flat.ssd_write_ios, reference.ssd_write_ios) << where;
-    EXPECT_EQ(flat.ssd_alloc_ios, reference.ssd_alloc_ios) << where;
+    EXPECT_EQ(got.batch_moved_blocks, want.batch_moved_blocks) << where;
+    EXPECT_EQ(got.ssd_read_ios, want.ssd_read_ios) << where;
+    EXPECT_EQ(got.ssd_write_ios, want.ssd_write_ios) << where;
+    EXPECT_EQ(got.ssd_alloc_ios, want.ssd_alloc_ios) << where;
 }
 
 /**
@@ -248,7 +193,7 @@ expectReportEq(const DailyReport &flat, const DailyReport &reference,
  * span 1..max_blocks blocks.
  */
 std::vector<trace::Request>
-randomTrace(uint64_t seed, size_t n, uint32_t max_blocks = 32)
+randomTrace(uint64_t seed, size_t n, uint32_t max_blocks)
 {
     Rng rng(seed);
     std::vector<trace::Request> reqs;
@@ -271,130 +216,124 @@ randomTrace(uint64_t seed, size_t n, uint32_t max_blocks = 32)
     return reqs;
 }
 
-/**
- * The acceptance matrix: every built-in eviction kind × {AOD, WMNA,
- * SieveStore-C, SieveStore-D}, flat engine vs reference engine, with
- * per-day reports compared field for field. Requests run up to 200
- * blocks, so the request loop crosses probe-chunk boundaries and
- * SieveStore-D's staged observations flush across chunks.
- */
-TEST(FlatCacheDifferential, ApplianceReportsMatchAcrossPolicyMatrix)
+/** Builds one of the batched-kernel matrix's continuous sieves. */
+using SieveFactory = std::unique_ptr<core::AllocationPolicy> (*)();
+
+/** A continuous sieve and the totals it must replay to. */
+struct PinnedRun
 {
-    const sim::PolicyKind policies[] = {
-        sim::PolicyKind::AOD, sim::PolicyKind::WMNA,
-        sim::PolicyKind::SieveStoreC, sim::PolicyKind::SieveStoreD};
-    const auto reqs = randomTrace(99, 4000, 200);
+    SieveFactory make;
+    DailyReport totals;
+};
 
-    for (const EvictionKind kind : kAllKinds) {
-        for (const sim::PolicyKind pk : policies) {
-            const EvictionSpec spec{kind, 21};
-            sim::PolicyConfig policy;
-            policy.kind = pk;
-            policy.adba_threshold = 3;
-            policy.sieve_c.imct_slots = 1 << 12;
-
-            core::ApplianceConfig flat_cfg;
-            flat_cfg.cache_blocks = 512;
-            flat_cfg.track_occupancy = true;
-            flat_cfg.eviction = spec;
-            core::ApplianceConfig ref_cfg = flat_cfg;
-            ref_cfg.replacement = [spec] {
-                return makeReferencePolicy(spec, 512);
-            };
-
-            auto flat_app = sim::makeAppliance(policy, flat_cfg);
-            auto ref_app = sim::makeAppliance(policy, ref_cfg);
-
-            trace::VectorTrace flat_trace(reqs);
-            sim::runTrace(flat_trace, *flat_app);
-            trace::VectorTrace ref_trace(reqs);
-            sim::runTrace(ref_trace, *ref_app);
-
-            const std::string label =
-                std::string(evictionKindName(kind)) + " x " +
-                flat_app->policyName();
-            const auto &fd = flat_app->daily();
-            const auto &rd = ref_app->daily();
-            ASSERT_EQ(fd.size(), rd.size()) << label;
-            ASSERT_GE(fd.size(), 2u)
-                << label << ": trace must span multiple days";
-            for (size_t d = 0; d < fd.size(); ++d)
-                expectReportEq(fd[d], rd[d],
-                               label + " day " + std::to_string(d));
-            expectReportEq(flat_app->totals(), ref_app->totals(),
-                           label + " totals");
-            flat_app->checkInvariants();
-            ref_app->checkInvariants();
-        }
-    }
+DailyReport
+pinnedTotals(uint64_t accesses, uint64_t read_accesses, uint64_t hits,
+             uint64_t read_hits, uint64_t write_hits,
+             uint64_t allocation_write_blocks, uint64_t ssd_read_ios,
+             uint64_t ssd_write_ios, uint64_t ssd_alloc_ios)
+{
+    DailyReport r;
+    r.accesses = accesses;
+    r.read_accesses = read_accesses;
+    r.hits = hits;
+    r.read_hits = read_hits;
+    r.write_hits = write_hits;
+    r.allocation_write_blocks = allocation_write_blocks;
+    r.ssd_read_ios = ssd_read_ios;
+    r.ssd_write_ios = ssd_write_ios;
+    r.ssd_alloc_ios = ssd_alloc_ios;
+    return r;
 }
 
-// ---- batched-kernel differential ----------------------------------
+/**
+ * LRU x {AOD, WMNA, SieveStore-C, RandSieve-C} on
+ * randomTrace(555, 3000, 200) with a 512-block cache: the totals the
+ * node-based replacement engine (std::list + unordered_map LRU behind
+ * a virtual policy interface) produced at batch 1 before the flat
+ * cache became the only engine. The flat appliance matched it field
+ * for field then, and must keep matching it now.
+ */
+const PinnedRun kPinnedRuns[] = {
+    {[]() -> std::unique_ptr<core::AllocationPolicy> {
+         return std::make_unique<core::AodPolicy>();
+     },
+     pinnedTotals(297752, 208642, 16015, 11480, 4535, 281737, 1541, 603,
+                  37184)},
+    {[]() -> std::unique_ptr<core::AllocationPolicy> {
+         return std::make_unique<core::WmnaPolicy>();
+     },
+     pinnedTotals(297752, 208642, 16991, 11665, 5326, 196977, 1566, 708,
+                  26005)},
+    {[]() -> std::unique_ptr<core::AllocationPolicy> {
+         core::SieveStoreCConfig cfg;
+         cfg.imct_slots = 1 << 12;
+         return std::make_unique<core::SieveStoreCPolicy>(cfg);
+     },
+     pinnedTotals(297752, 208642, 30471, 21384, 9087, 16635, 5772, 2314,
+                  8231)},
+    {[]() -> std::unique_ptr<core::AllocationPolicy> {
+         return std::make_unique<core::RandSieveCPolicy>(0.05, 17);
+     },
+     pinnedTotals(297752, 208642, 21673, 15385, 6288, 13749, 7065, 2899,
+                  11767)},
+};
 
 /**
- * The one request loop across cache engines and dispatches: the
- * flat-cache appliance produces per-day DailyReports bit-identical to
- * the Reference*-replacement appliance replayed one request per
- * batch, for every probe-loop dispatch (AVX2 on/off), every decode
- * batch size, and every eviction kind × sieve kind. Requests run up
- * to 200 blocks, so probe-gather chunk boundaries fall mid-request.
+ * The one request loop across dispatches: for every probe-loop
+ * dispatch (AVX2 on/off) and decode batch size, each sieve's appliance
+ * replays per-day reports bit-identical to the scalar batch-1 run and
+ * totals equal to the pinned ones. Requests run up to 200 blocks, so
+ * probe-gather chunk boundaries fall mid-request.
  */
-TEST(BatchKernelDifferential, ProcessBatchMatchesScalarAcrossMatrix)
+TEST(BatchKernelDifferential, ProcessBatchMatchesPinnedTotals)
 {
     const auto reqs = randomTrace(555, 3000, 200);
     const bool prior_simd = util::batchSimdEnabled();
 
-    for (const EvictionKind ek : kAllKinds) {
-        for (const SieveFactory make_sieve : kSieves) {
-            core::ApplianceConfig cfg;
-            cfg.cache_blocks = 512;
-            cfg.track_occupancy = false; // flat-engine configuration
-            cfg.eviction = EvictionSpec{ek, 21};
+    for (const PinnedRun &run : kPinnedRuns) {
+        core::ApplianceConfig cfg;
+        cfg.cache_blocks = 512;
+        cfg.track_occupancy = false; // the armed no-alloc configuration
 
-            // Baseline: the Reference* replacement engine at batch 1.
-            core::ApplianceConfig ref_cfg = cfg;
-            ref_cfg.replacement = [spec = cfg.eviction] {
-                return makeReferencePolicy(spec, 512);
-            };
-            core::Appliance ref_app(ref_cfg, make_sieve());
-            trace::VectorTrace ref_trace(reqs);
-            sim::DriverOptions ref_options;
-            ref_options.batch = 1;
-            sim::runTrace(ref_trace, ref_app, ref_options);
-            const std::vector<DailyReport> &ref_days = ref_app.daily();
+        // Baseline: the scalar probe loop at batch 1.
+        util::setBatchSimd(false);
+        core::Appliance base_app(cfg, run.make());
+        trace::VectorTrace base_trace(reqs);
+        sim::DriverOptions base_options;
+        base_options.batch = 1;
+        sim::runTrace(base_trace, base_app, base_options);
+        const std::vector<DailyReport> &base_days = base_app.daily();
+        ASSERT_GE(base_days.size(), 2u)
+            << base_app.policyName() << ": trace must span multiple days";
+        expectReportEq(base_app.totals(), run.totals,
+                       std::string(base_app.policyName()) + " pinned");
 
-            for (const bool simd : {false, true}) {
-                if (simd && !util::batchSimdSupported())
-                    continue;
-                for (const size_t batch : {size_t{1}, size_t{8},
-                                           size_t{64}}) {
-                    util::setBatchSimd(simd);
-                    core::Appliance flat_app(cfg, make_sieve());
-                    trace::VectorTrace flat_trace(reqs);
-                    sim::DriverOptions options;
-                    options.batch = batch;
-                    sim::runTrace(flat_trace, flat_app, options);
+        for (const bool simd : {false, true}) {
+            if (simd && !util::batchSimdSupported())
+                continue;
+            for (const size_t batch : {size_t{1}, size_t{8}, size_t{64}}) {
+                util::setBatchSimd(simd);
+                core::Appliance app(cfg, run.make());
+                trace::VectorTrace tr(reqs);
+                sim::DriverOptions options;
+                options.batch = batch;
+                sim::runTrace(tr, app, options);
 
-                    const std::string label =
-                        std::string(evictionKindName(ek)) + " x " +
-                        flat_app.policyName() +
-                        (simd ? " avx2" : " scalar-probe") +
-                        " batch " + std::to_string(batch);
-                    const auto &fd = flat_app.daily();
-                    ASSERT_EQ(fd.size(), ref_days.size()) << label;
-                    ASSERT_GE(fd.size(), 2u)
-                        << label << ": trace must span multiple days";
-                    for (size_t d = 0; d < fd.size(); ++d)
-                        expectReportEq(fd[d], ref_days[d],
-                                       label + " day " +
-                                           std::to_string(d));
-                    expectReportEq(flat_app.totals(), ref_app.totals(),
-                                   label + " totals");
-                    flat_app.checkInvariants();
-                }
+                const std::string label =
+                    std::string(app.policyName()) +
+                    (simd ? " avx2" : " scalar-probe") + " batch " +
+                    std::to_string(batch);
+                const auto &days = app.daily();
+                ASSERT_EQ(days.size(), base_days.size()) << label;
+                for (size_t d = 0; d < days.size(); ++d)
+                    expectReportEq(days[d], base_days[d],
+                                   label + " day " + std::to_string(d));
+                expectReportEq(app.totals(), run.totals,
+                               label + " totals");
+                app.checkInvariants();
             }
-            ref_app.checkInvariants();
         }
+        base_app.checkInvariants();
     }
     util::setBatchSimd(prior_simd);
 }

@@ -8,14 +8,15 @@
  * windowed counters (metastate bounded regardless of the block
  * population) and the MCT tracks only IMCT-qualified blocks. The
  * refactor moved the MCT and the block cache onto the flat index, so
- * these tests also pin the flat slot formula and the before/after
- * comparison against the node-based reference engine.
+ * these tests also pin the flat slot formula and the cache's bytes per
+ * resident block.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/block_cache.hpp"
-#include "cache/replacement.hpp"
 #include "core/imct.hpp"
 #include "core/mct.hpp"
 #include "core/windowed_counter.hpp"
@@ -83,49 +84,37 @@ TEST(Footprint, FlatIndexFormulaIsSlotsTimesSlotBytesPlusOne)
 
 TEST(Footprint, CacheMemoryCoversResidencyAndReplacementState)
 {
-    // The doc-drift fix: BlockCache::memoryBytes() must include the
-    // replacement policy's bookkeeping in BOTH engines, so the two
-    // are comparable. A custom-policy cache must therefore report
-    // more than its residency index alone.
-    BlockCache custom(256,
-                      makeReferencePolicy({EvictionKind::Lru, 1}, 256));
+    // BlockCache::memoryBytes() must include the recency arena and the
+    // oracle mode's protected set, not only the residency index.
+    BlockCache cache(256);
     for (BlockId b = 0; b < 256; ++b)
-        custom.insert(b);
-    const uint64_t set_only = util::flatIndexFootprintBytes(
-        512, sizeof(uint64_t) + 2 * sizeof(uint64_t));
-    EXPECT_GT(custom.memoryBytes(), set_only)
-        << "reference engine must add its policy's node containers";
+        cache.insert(b);
+    // 512 slots of 16 bytes: 8 key + 4 node, padded.
+    const uint64_t index_only = util::flatIndexFootprintBytes(512, 16);
+    EXPECT_GE(cache.memoryBytes(), index_only + 256 * 16)
+        << "the recency arena's 16-byte nodes must be charged";
+    const uint64_t lru_bytes = cache.memoryBytes();
+    std::vector<BlockId> protect(64);
+    for (BlockId b = 0; b < 64; ++b)
+        protect[b] = b;
+    cache.setProtected(protect);
+    EXPECT_GT(cache.memoryBytes(), lru_bytes)
+        << "the protected set must be charged";
 }
 
-TEST(Footprint, FlatEngineAtOrBelowReferencePerResidentBlock)
+TEST(Footprint, CacheBytesPerResidentBlockWithinBound)
 {
-    // The acceptance bar: per-resident-block metadata of the flat
-    // engine no higher than the node-based seed, for every kind, at
-    // full occupancy.
-    for (const EvictionKind kind :
-         {EvictionKind::Lru, EvictionKind::Fifo, EvictionKind::Clock,
-          EvictionKind::Lfu, EvictionKind::Random}) {
-        const uint64_t capacity = 1 << 14;
-        BlockCache flat(capacity, EvictionSpec{kind, 1});
-        BlockCache reference(capacity,
-                             makeReferencePolicy({kind, 1}, capacity));
-        for (BlockId b = 0; b < capacity; ++b) {
-            flat.insert(b);
-            reference.insert(b);
-        }
-        const double flat_per_block =
-            static_cast<double>(flat.memoryBytes()) /
-            static_cast<double>(capacity);
-        const double ref_per_block =
-            static_cast<double>(reference.memoryBytes()) /
-            static_cast<double>(capacity);
-        EXPECT_LE(flat_per_block, ref_per_block)
-            << evictionKindName(kind);
-        // And concretely: at most 2 slots per block (power-of-two
-        // growth) x 25 bytes (8 key + 16 policy payload + 1 dib)
-        // plus at most 2 x 16-byte order-arena nodes per block.
-        EXPECT_LE(flat_per_block, 82.0) << evictionKindName(kind);
-    }
+    const uint64_t capacity = 1 << 14;
+    BlockCache cache(capacity);
+    for (BlockId b = 0; b < capacity; ++b)
+        cache.insert(b);
+    const double per_block = static_cast<double>(cache.memoryBytes()) /
+                             static_cast<double>(capacity);
+    // The bound dates from the two-word payload: at most 2 slots per
+    // block (power-of-two growth) x 25 bytes (8 key + 16 payload + 1
+    // dib) plus at most 2 x 16-byte arena nodes per block. The slot is
+    // now 16 bytes (8 key + 4 node, padded), which leaves headroom.
+    EXPECT_LE(per_block, 82.0);
 }
 
 } // namespace

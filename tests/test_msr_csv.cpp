@@ -118,10 +118,44 @@ TEST_F(MsrCsvTest, SkipsOutOfRangeDisk)
 
 TEST_F(MsrCsvTest, MalformedLineIsFatal)
 {
-    writeLines("not,enough,fields\n");
+    // Each record must be rejected with the file name and the line.
+    const char *const kBad[] = {
+        "not,enough,fields",
+        // An op that is neither read nor write.
+        "864000000000,usr,0,Trim,512,512,10",
+        // offset + size wraps uint64_t.
+        "864000000000,usr,0,Read,18446744073709551104,1024,10",
+        // 2^32 blocks (2 TiB) would wrap length_blocks to 0.
+        "864000000000,usr,0,Read,0,2199023255552,10",
+    };
+    for (const char *line : kBad) {
+        writeLines(std::string(line) + "\n");
+        MsrCsvReader reader(path.string(), ensemble);
+        Request r;
+        try {
+            reader.next(r);
+            ADD_FAILURE() << "accepted '" << line << "'";
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(path.string()), std::string::npos) << msg;
+            EXPECT_NE(msg.find(line), std::string::npos) << msg;
+        }
+    }
+}
+
+TEST_F(MsrCsvTest, LargestExtentAndShortOpsAccepted)
+{
+    // 2^32 - 1 blocks is the widest extent length_blocks holds.
+    writeLines("864000000000,usr,0,r,0,2199023255040,10\n"
+               "864000000001,usr,0,W,512,512,10\n");
     MsrCsvReader reader(path.string(), ensemble);
     Request r;
-    EXPECT_THROW(reader.next(r), FatalError);
+    ASSERT_TRUE(reader.next(r));
+    EXPECT_EQ(r.op, Op::Read);
+    EXPECT_EQ(r.length_blocks, UINT32_MAX);
+    ASSERT_TRUE(reader.next(r));
+    EXPECT_EQ(r.op, Op::Write);
+    EXPECT_EQ(r.length_blocks, 1u);
 }
 
 TEST_F(MsrCsvTest, CommentsAndBlankLinesIgnored)

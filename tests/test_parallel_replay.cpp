@@ -50,6 +50,9 @@ expectReportEq(const DailyReport &serial, const DailyReport &parallel,
     EXPECT_EQ(serial.ssd_read_ios, parallel.ssd_read_ios) << where;
     EXPECT_EQ(serial.ssd_write_ios, parallel.ssd_write_ios) << where;
     EXPECT_EQ(serial.ssd_alloc_ios, parallel.ssd_alloc_ios) << where;
+    EXPECT_EQ(serial.tune_t1, parallel.tune_t1) << where;
+    EXPECT_EQ(serial.tune_t2, parallel.tune_t2) << where;
+    EXPECT_EQ(serial.tune_switches, parallel.tune_switches) << where;
 }
 
 /**
@@ -255,6 +258,64 @@ TEST(ParallelReplay, RejectsBadConfig)
     ShardedConfig no_queue = makeConfig(PolicyKind::AOD, 2);
     no_queue.parallel.queue_depth = 0;
     EXPECT_THROW(runShardedParallel(empty, no_queue), FatalError);
+}
+
+/**
+ * The adaptive sieve through runShardedParallel: each shard
+ * carries its own shadow candidates and ghost caches, day closes
+ * switch thresholds per shard, and the parallel batch=64 replay must
+ * reproduce the serial batch=1 tuning trajectory (tune_* columns
+ * included) bit for bit.
+ */
+TEST(ParallelReplay, AdaptiveSieveShardedParallelMatchesSerial)
+{
+    SyntheticConfig scfg;
+    scfg.seed = 0xada;
+    scfg.scale = 1.0 / 131072.0;
+    auto gen = SyntheticEnsembleGenerator::paper(
+        EnsembleConfig::paperEnsemble(), scfg);
+
+    ShardedConfig cfg;
+    cfg.shards = 4;
+    cfg.policy.kind = PolicyKind::Adaptive;
+    cfg.policy.sieve_c.imct_slots = 1 << 12;
+    cfg.policy.sieve_c.t1 = 4;
+    cfg.policy.sieve_c.t2 = 2;
+    cfg.policy.adaptive.imct_slots = 1 << 10;
+    cfg.policy.adaptive.ghost_budget = 512;
+    cfg.node.cache_blocks = 2048 / cfg.shards + 64;
+    cfg.node.track_occupancy = false;
+
+    ShardedConfig serial_cfg = cfg;
+    serial_cfg.batch = 1;
+    gen.reset();
+    const ShardedResult serial = runSharded(gen, serial_cfg);
+
+    ShardedConfig parallel_cfg = cfg;
+    parallel_cfg.batch = 64;
+    gen.reset();
+    const ShardedResult parallel =
+        runShardedParallel(gen, parallel_cfg);
+
+    ASSERT_EQ(serial.nodes.size(), parallel.nodes.size());
+    bool any_tuning = false;
+    for (size_t s = 0; s < serial.nodes.size(); ++s) {
+        const auto &sd = serial.nodes[s]->daily();
+        const auto &pd = parallel.nodes[s]->daily();
+        ASSERT_EQ(sd.size(), pd.size()) << "shard " << s;
+        for (size_t d = 0; d < sd.size(); ++d) {
+            expectReportEq(sd[d], pd[d],
+                           "adaptive shard " + std::to_string(s) +
+                               " day " + std::to_string(d));
+            any_tuning = any_tuning || sd[d].tune_t1 != 0;
+        }
+        serial.nodes[s]->checkInvariants();
+        parallel.nodes[s]->checkInvariants();
+    }
+    EXPECT_TRUE(any_tuning)
+        << "no shard ever reported its tuned thresholds";
+    expectReportEq(serial.totals(), parallel.totals(),
+                   "adaptive totals");
 }
 
 } // namespace

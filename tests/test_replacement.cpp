@@ -1,129 +1,41 @@
 /**
  * @file
- * Unit tests for replacement policies, run against BOTH cache engines:
- * the flat block-index engine (EvictionSpec) and the node-based
- * Reference* policies it must match.
+ * Unit tests for the block cache's replacement: LRU promotion and the
+ * Section 3.1 protected-set mode (BlockCache::setProtected).
  */
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <vector>
 
 #include "cache/block_cache.hpp"
-#include "cache/replacement.hpp"
 
 namespace {
 
 using namespace sievestore::cache;
 using sievestore::trace::BlockId;
 
-/** Both engines for one built-in policy kind. */
-std::vector<BlockCache>
-bothEngines(uint64_t capacity, EvictionKind kind, uint64_t seed = 1)
-{
-    std::vector<BlockCache> caches;
-    caches.emplace_back(capacity, EvictionSpec{kind, seed});
-    caches.emplace_back(
-        capacity, makeReferencePolicy(EvictionSpec{kind, seed}, capacity));
-    return caches;
-}
-
-TEST(Fifo, HitsDoNotPromote)
-{
-    for (BlockCache &cache : bothEngines(3, EvictionKind::Fifo)) {
-        cache.insert(1);
-        cache.insert(2);
-        cache.insert(3);
-        cache.access(1); // must not rescue 1 under FIFO
-        const auto evicted = cache.insert(4);
-        ASSERT_TRUE(evicted.has_value());
-        EXPECT_EQ(*evicted, 1u);
-        cache.checkInvariants();
-    }
-}
-
 TEST(Lru, HitsPromote)
 {
-    for (BlockCache &cache : bothEngines(3, EvictionKind::Lru)) {
-        cache.insert(1);
-        cache.insert(2);
-        cache.insert(3);
-        cache.access(1);
-        const auto evicted = cache.insert(4);
-        ASSERT_TRUE(evicted.has_value());
-        EXPECT_EQ(*evicted, 2u);
-        cache.checkInvariants();
-    }
-}
-
-TEST(Random, EvictsOnlyResidentBlocks)
-{
-    for (BlockCache &cache : bothEngines(8, EvictionKind::Random, 3)) {
-        for (BlockId b = 0; b < 8; ++b)
-            cache.insert(b);
-        for (BlockId b = 100; b < 200; ++b) {
-            const auto evicted = cache.insert(b);
-            ASSERT_TRUE(evicted.has_value());
-            ASSERT_LT(cache.size(), 9u);
-            ASSERT_FALSE(cache.contains(*evicted));
-        }
-        cache.checkInvariants();
-    }
-}
-
-TEST(Random, EventuallyEvictsEveryone)
-{
-    // With 2 slots and many inserts, both original blocks should go.
-    for (BlockCache &cache : bothEngines(2, EvictionKind::Random, 7)) {
-        cache.insert(1);
-        cache.insert(2);
-        for (BlockId b = 10; b < 60; ++b)
-            if (!cache.contains(b))
-                cache.insert(b);
-        EXPECT_FALSE(cache.contains(1));
-        EXPECT_FALSE(cache.contains(2));
-        cache.checkInvariants();
-    }
-}
-
-TEST(Lfu, EvictsLeastFrequentlyUsed)
-{
-    for (BlockCache &cache : bothEngines(3, EvictionKind::Lfu)) {
-        cache.insert(1);
-        cache.insert(2);
-        cache.insert(3);
-        cache.access(1);
-        cache.access(1);
-        cache.access(3);
-        // Counts: 1->3, 2->1, 3->2.
-        const auto evicted = cache.insert(4);
-        ASSERT_TRUE(evicted.has_value());
-        EXPECT_EQ(*evicted, 2u);
-        cache.checkInvariants();
-    }
-}
-
-TEST(Lfu, TieBreaksByInsertionOrder)
-{
-    for (BlockCache &cache : bothEngines(2, EvictionKind::Lfu)) {
-        cache.insert(1);
-        cache.insert(2);
-        const auto evicted = cache.insert(3);
-        ASSERT_TRUE(evicted.has_value());
-        EXPECT_EQ(*evicted, 1u);
-        cache.checkInvariants();
-    }
+    BlockCache cache(3);
+    cache.insert(1);
+    cache.insert(2);
+    cache.insert(3);
+    cache.access(1);
+    const auto evicted = cache.insert(4);
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(*evicted, 2u);
+    cache.checkInvariants();
 }
 
 TEST(OracleRetain, ProtectedBlocksSurvive)
 {
-    auto policy = std::make_unique<OracleRetainPolicy>();
-    OracleRetainPolicy *oracle = policy.get();
-    BlockCache cache(3, std::move(policy));
+    BlockCache cache(3);
     cache.insert(1);
     cache.insert(2);
     cache.insert(3);
-    oracle->setProtected({1, 2});
+    const std::vector<BlockId> protect = {1, 2};
+    cache.setProtected(protect);
     // Insertions evict only the unprotected 3, then... everything is
     // protected, so plain LRU applies.
     auto evicted = cache.insert(4);
@@ -135,167 +47,53 @@ TEST(OracleRetain, ProtectedBlocksSurvive)
     evicted = cache.insert(5);
     ASSERT_TRUE(evicted.has_value());
     EXPECT_EQ(*evicted, 4u);
+    cache.checkInvariants();
 }
 
 TEST(OracleRetain, FallsBackToLruWhenAllProtected)
 {
-    auto policy = std::make_unique<OracleRetainPolicy>();
-    OracleRetainPolicy *oracle = policy.get();
-    BlockCache cache(2, std::move(policy));
+    BlockCache cache(2);
     cache.insert(1);
     cache.insert(2);
-    oracle->setProtected({1, 2, 3});
+    const std::vector<BlockId> protect = {1, 2, 3};
+    cache.setProtected(protect);
     const auto evicted = cache.insert(3);
     ASSERT_TRUE(evicted.has_value());
     EXPECT_EQ(*evicted, 1u); // LRU of the protected set
+    cache.checkInvariants();
 }
 
-TEST(Policies, NamesAreStable)
+TEST(OracleRetain, EmptySetRestoresPlainLru)
 {
-    EXPECT_STREQ(ReferenceLruPolicy().name(), "LRU");
-    EXPECT_STREQ(ReferenceFifoPolicy().name(), "FIFO");
-    EXPECT_STREQ(ReferenceRandomPolicy().name(), "Random");
-    EXPECT_STREQ(ReferenceLfuPolicy().name(), "LFU");
-    EXPECT_STREQ(OracleRetainPolicy().name(), "OracleRetain");
-    EXPECT_STREQ(evictionKindName(EvictionKind::Lru), "LRU");
-    EXPECT_STREQ(evictionKindName(EvictionKind::Fifo), "FIFO");
-    EXPECT_STREQ(evictionKindName(EvictionKind::Clock), "CLOCK");
-    EXPECT_STREQ(evictionKindName(EvictionKind::Lfu), "LFU");
-    EXPECT_STREQ(evictionKindName(EvictionKind::Random), "Random");
-    // The flat engine reports the same names through the cache.
-    EXPECT_STREQ(
-        BlockCache(2, EvictionSpec{EvictionKind::Clock}).policyName(),
-        "CLOCK");
-    EXPECT_STREQ(
-        BlockCache(2, makeReferencePolicy({EvictionKind::Lfu}, 2))
-            .policyName(),
-        "LFU");
+    BlockCache cache(2);
+    cache.insert(1);
+    cache.insert(2);
+    const std::vector<BlockId> protect = {1};
+    cache.setProtected(protect);
+    auto evicted = cache.insert(3);
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(*evicted, 2u);
+    // Order is now 3 (hot), 1 (cold): the cleared set evicts 1.
+    cache.setProtected({});
+    evicted = cache.insert(4);
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(*evicted, 1u);
+    cache.checkInvariants();
 }
 
-TEST(Policies, ReferenceNamesMatchKindNames)
+TEST(OracleRetain, SetReplacesThePreviousOne)
 {
-    for (const EvictionKind kind :
-         {EvictionKind::Lru, EvictionKind::Fifo, EvictionKind::Clock,
-          EvictionKind::Lfu, EvictionKind::Random}) {
-        EXPECT_STREQ(makeReferencePolicy({kind, 1}, 8)->name(),
-                     evictionKindName(kind));
-    }
-}
-
-TEST(Policies, MisuseIsPanic)
-{
-    ReferenceLruPolicy lru;
-    EXPECT_DEATH(lru.victim(), "empty");
-    EXPECT_DEATH(lru.onAccess(42), "non-resident");
-    lru.onInsert(1);
-    EXPECT_DEATH(lru.onErase(2), "non-resident");
-}
-
-TEST(Policies, FlatMemoryNeverAboveReference)
-{
-    // The acceptance bar for the refactor: total per-block metadata of
-    // the flat engine at or below the node-based reference, per
-    // policy, at a realistic fill.
-    for (const EvictionKind kind :
-         {EvictionKind::Lru, EvictionKind::Fifo, EvictionKind::Clock,
-          EvictionKind::Lfu, EvictionKind::Random}) {
-        auto caches = bothEngines(4096, kind);
-        for (BlockCache &cache : caches)
-            for (BlockId b = 0; b < 4096; ++b)
-                cache.insert(b);
-        EXPECT_LE(caches[0].memoryBytes(), caches[1].memoryBytes())
-            << "flat engine out-sizes reference for "
-            << evictionKindName(kind);
-    }
+    BlockCache cache(2);
+    cache.insert(1);
+    cache.insert(2);
+    const std::vector<BlockId> day0 = {1};
+    const std::vector<BlockId> day1 = {3};
+    cache.setProtected(day0);
+    cache.setProtected(day1);
+    // 1 is no longer protected and is the LRU tail.
+    const auto evicted = cache.insert(3);
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(*evicted, 1u);
 }
 
 } // namespace
-
-namespace clock_tests {
-
-using namespace sievestore::cache;
-using sievestore::trace::BlockId;
-
-/** Both engines for CLOCK. */
-std::vector<BlockCache>
-bothClocks(uint64_t capacity)
-{
-    std::vector<BlockCache> caches;
-    caches.emplace_back(capacity, EvictionSpec{EvictionKind::Clock});
-    caches.emplace_back(
-        capacity,
-        makeReferencePolicy(EvictionSpec{EvictionKind::Clock}, capacity));
-    return caches;
-}
-
-TEST(Clock, SecondChancePprotectsReferencedBlocks)
-{
-    for (BlockCache &cache : bothClocks(3)) {
-        cache.insert(1);
-        cache.insert(2);
-        cache.insert(3);
-        // All reference bits are set on insert; the hand clears 1, 2, 3
-        // then evicts the first unreferenced block it re-reaches: 1.
-        auto evicted = cache.insert(4);
-        ASSERT_TRUE(evicted.has_value());
-        EXPECT_EQ(*evicted, 1u);
-        cache.checkInvariants();
-    }
-}
-
-TEST(Clock, AccessGrantsSecondChance)
-{
-    for (BlockCache &cache : bothClocks(3)) {
-        cache.insert(1);
-        cache.insert(2);
-        cache.insert(3);
-        cache.insert(4); // evicts 1, clears bits of 2, 3
-        cache.access(2); // re-reference 2
-        auto evicted = cache.insert(5);
-        ASSERT_TRUE(evicted.has_value());
-        EXPECT_EQ(*evicted, 3u); // 2 was saved by its reference bit
-        EXPECT_TRUE(cache.contains(2));
-        cache.checkInvariants();
-    }
-}
-
-TEST(Clock, ApproximatesLruOnLoopingScan)
-{
-    // A cyclic scan over N+1 blocks with an N-block cache: CLOCK, like
-    // LRU, misses every access after warmup.
-    for (BlockCache &cache : bothClocks(4)) {
-        uint64_t hits = 0;
-        for (int round = 0; round < 50; ++round)
-            for (BlockId b = 0; b < 5; ++b) {
-                if (cache.access(b))
-                    ++hits;
-                else
-                    cache.insert(b);
-            }
-        EXPECT_LT(hits, 25u); // far below the 200 a hot-loop would give
-    }
-}
-
-TEST(Clock, EraseUnderTheHandIsSafe)
-{
-    for (BlockCache &cache : bothClocks(3)) {
-        cache.insert(1);
-        cache.insert(2);
-        cache.insert(3);
-        cache.insert(4); // hand is now parked inside the ring
-        EXPECT_TRUE(cache.erase(2) || cache.erase(3) || cache.erase(4));
-        // Ring stays consistent: we can keep inserting/evicting.
-        for (BlockId b = 10; b < 30; ++b)
-            if (!cache.contains(b))
-                cache.insert(b);
-        EXPECT_LE(cache.size(), 3u);
-        cache.checkInvariants();
-    }
-}
-
-TEST(Clock, Name)
-{
-    EXPECT_STREQ(ReferenceClockPolicy().name(), "CLOCK");
-}
-
-} // namespace clock_tests
