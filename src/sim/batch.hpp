@@ -1,29 +1,22 @@
 /**
  * @file
- * The shared batching facade of the replay drivers.
+ * The batching facade of sim::replay (sim/replay.hpp).
  *
- * Every driver (runTrace, runSharded, runShardedParallel,
- * runPerServer) moves requests in batches: TraceReader::nextBatch()
- * decodes N requests per virtual call, pumpBatches() slices each
- * decoded batch at calendar-day boundaries and emits day-end events
- * between slices, and RequestBatcher re-accumulates routed requests
- * (per shard, per server) into fixed-capacity bins so the downstream
- * hand-off — Appliance::processBatch, or one SPSC push — also happens
- * once per batch instead of once per request.
+ * TraceReader::nextBatch() decodes N requests per virtual call,
+ * pumpBatches() slices each decoded batch at calendar-day boundaries
+ * and emits day-end events between slices, and RequestBatcher bins
+ * routed requests per node so each hand-off — Appliance::processBatch
+ * or one SPSC push — happens once per batch. pumpBatches is also the
+ * day-slicing seam of the profiling passes (perDayTopBlocks,
+ * elasticTopPercentCapacities), so every consumer in src/sim shares
+ * its time-order check.
  *
- * Day-end flush protocol: pumpBatches() never lets a slice straddle a
- * day boundary, and drivers flush every partial RequestBatcher bin
- * *before* propagating a day-end event downstream. Batching therefore
- * changes only the grouping of the per-appliance request stream, never
- * its order or its interleaving with finishDay() — which is what the
- * differential suites (test_batch_pipeline, test_parallel_replay)
- * prove bit-identical to per-request replay.
- *
- * The single-day guarantee is also what lets processBatch run the
- * batched FlatIndex lookup kernel (probe-gather -> sieve-prefetch ->
- * decide; see DESIGN.md §12): the kernel hoists the day-report lookup
- * and arms its batch-wide no-alloc region once per slice, relying on
- * every request in the span landing in the same calendar day.
+ * A slice never straddles a day, and replay flushes every bin before
+ * a day-end event, so batching changes only the grouping of each
+ * node's request stream, never its order or its interleaving with
+ * finishDay() (test_batch_pipeline, test_parallel_replay). The
+ * single-day slice is also what lets processBatch hoist its day-report
+ * lookup and no-alloc region once per slice (DESIGN.md §12).
  */
 
 #ifndef SIEVESTORE_SIM_BATCH_HPP
@@ -52,8 +45,10 @@ namespace sim {
  *                   day being closed, strictly between the slices it
  *                   separates (including runs of empty days)
  *
- * Fatals on a non-time-ordered trace (a request whose calendar day
- * precedes an already-seen day) and on batch == 0.
+ * Fatals on batch == 0 and on a request whose time precedes its
+ * predecessor's (the error names the request's 1-based ordinal in
+ * the pumped stream and both timestamps): the appliance assumes
+ * in-day time order, so a disordered trace is never replayed.
  */
 template <typename OnSlice, typename OnDayEnd>
 void
@@ -63,23 +58,29 @@ pumpBatches(trace::TraceReader &reader, size_t batch, OnSlice &&on_slice,
     if (batch == 0)
         util::fatal("batched replay requires a batch size >= 1");
     std::vector<trace::Request> buf(batch);
-    bool any = false;
+    uint64_t pumped = 0; // requests decoded before this batch
+    util::TimeUs last_time = 0;
     int current_day = 0;
     for (;;) {
         const size_t n = reader.nextBatch({buf.data(), buf.size()});
         if (n == 0)
             break;
+        for (size_t i = 0; i < n; ++i) {
+            if (buf[i].time < last_time)
+                util::fatal("trace is not time-ordered: request %llu at "
+                            "%llu us follows one at %llu us",
+                            static_cast<unsigned long long>(pumped + i + 1),
+                            static_cast<unsigned long long>(buf[i].time),
+                            static_cast<unsigned long long>(last_time));
+            last_time = buf[i].time;
+        }
+        if (pumped == 0)
+            current_day = static_cast<int>(util::dayOf(buf[0].time));
+        pumped += n;
         size_t start = 0;
         while (start < n) {
             const int day =
                 static_cast<int>(util::dayOf(buf[start].time));
-            if (!any) {
-                current_day = day;
-                any = true;
-            } else if (day < current_day) {
-                util::fatal("trace is not time-ordered (day %d after %d)",
-                            day, current_day);
-            }
             while (current_day < day) {
                 on_day_end(current_day);
                 ++current_day;
@@ -97,7 +98,7 @@ pumpBatches(trace::TraceReader &reader, size_t batch, OnSlice &&on_slice,
 
 /**
  * Fixed-capacity per-bin request accumulator: the hand-off half of the
- * facade. Requests routed to a bin (a shard, a server) are buffered
+ * facade. Requests routed to a bin (a node) are buffered
  * until the bin fills or flushAll() is called; `flush(bin, span)`
  * delivers each non-empty bin downstream. All storage is allocated at
  * construction, so add() is allocation-free and may run inside a
@@ -119,6 +120,9 @@ class RequestBatcher
     {
     }
 
+    /** Number of destinations. */
+    size_t bins() const { return fill.size(); }
+
     /** Append one request to `bin`, flushing the bin when full. */
     void
     add(size_t bin, const trace::Request &req)
@@ -130,7 +134,7 @@ class RequestBatcher
     }
 
     /**
-     * Flush every partially-filled bin. Drivers call this before every
+     * Flush every partially-filled bin. Replay calls this before every
      * day-end event and at end of trace, so no request is ever held
      * across a finishDay() and bins never mix calendar days.
      */

@@ -4,6 +4,7 @@
 #include "core/discrete.hpp"
 #include "core/rand_sieve.hpp"
 #include "core/unsieved.hpp"
+#include "sim/batch.hpp"
 #include "util/logging.hpp"
 #include "util/sim_time.hpp"
 
@@ -64,28 +65,25 @@ perDayTopBlocks(trace::TraceReader &reader, double fraction)
     analysis::BlockCounts counts;
     int current_day = -1;
 
-    auto fold = [&]() {
-        if (current_day < 0)
-            return;
-        if (sets.size() <= static_cast<size_t>(current_day))
-            sets.resize(static_cast<size_t>(current_day) + 1);
+    auto fold = [&](int day) {
+        if (sets.size() <= static_cast<size_t>(day))
+            sets.resize(static_cast<size_t>(day) + 1);
         analysis::PopularityProfile profile(counts, 1);
-        sets[static_cast<size_t>(current_day)] =
-            profile.topBlocks(fraction);
+        sets[static_cast<size_t>(day)] = profile.topBlocks(fraction);
         counts.clear();
     };
 
-    trace::Request req;
-    while (reader.next(req)) {
-        const int day = static_cast<int>(util::dayOf(req.time));
-        if (day != current_day) {
-            fold();
-            current_day = day;
-        }
-        for (uint32_t i = 0; i < req.length_blocks; ++i)
-            ++counts[req.blockAt(i)];
-    }
-    fold();
+    pumpBatches(
+        reader, trace::kDefaultBatchRequests,
+        [&](std::span<const trace::Request> slice) {
+            current_day = static_cast<int>(util::dayOf(slice[0].time));
+            for (const trace::Request &req : slice)
+                for (uint32_t i = 0; i < req.length_blocks; ++i)
+                    ++counts[req.blockAt(i)];
+        },
+        fold);
+    if (current_day >= 0)
+        fold(current_day);
     reader.reset();
     return sets;
 }

@@ -84,6 +84,8 @@ makeAppliance(const PolicyConfig &policy,
 /**
  * Profiling pass: the most-accessed `fraction` of blocks for every
  * calendar day of the trace. Resets the reader before and after.
+ * Days are sliced by pumpBatches, so a trace that is not time-ordered
+ * is fatal.
  */
 std::vector<std::vector<trace::BlockId>>
 perDayTopBlocks(trace::TraceReader &reader, double fraction);

@@ -4,9 +4,7 @@
 #include <unordered_set>
 
 #include "sim/batch.hpp"
-#include "sim/driver.hpp"
 #include "util/logging.hpp"
-#include "util/sim_time.hpp"
 
 namespace sievestore {
 namespace sim {
@@ -30,51 +28,15 @@ runPerServer(trace::TraceReader &reader, const PerServerConfig &config)
             pc.adba_log_dir += "/server" + std::to_string(s);
         appliances.push_back(makeAppliance(pc, ac));
     }
-
-    const bool audit = defaultCheckInvariants();
-
-    // Per-server accumulation through the shared batching facade:
-    // whole requests route by server, bins flush into processBatch at
-    // the same points the per-request loop would have processed them.
-    auto deliver = [&appliances](size_t server,
-                                 std::span<const trace::Request> reqs) {
-        appliances[server]->processBatch(reqs);
-    };
-    RequestBatcher<decltype(deliver)> batcher(n, config.batch, deliver);
-    pumpBatches(
-        reader, config.batch,
-        [&](std::span<const trace::Request> slice) {
-            for (const trace::Request &req : slice) {
-                if (req.server >= n)
-                    util::fatal(
-                        "request from server %u but only %zu capacities",
-                        unsigned(req.server), n);
-                batcher.add(req.server, req);
-            }
-        },
-        [&](int day) {
-            batcher.flushAll();
-            for (auto &a : appliances) {
-                a->finishDay(day);
-                if (audit)
-                    a->checkInvariants();
-            }
-        });
-    batcher.flushAll();
+    replay(reader, appliances, Route::byServer(), config.replay);
 
     PerServerResult result;
-    result.per_server.resize(n);
     for (size_t s = 0; s < n; ++s) {
-        appliances[s]->finishTrace();
-        if (audit)
-            appliances[s]->checkInvariants();
-        result.per_server[s] = appliances[s]->daily();
+        const auto &days = appliances[s]->daily();
+        result.per_server.push_back(days);
         result.total_capacity_blocks += config.capacities_blocks[s];
-        if (result.per_server[s].size() > result.combined.size())
-            result.combined.resize(result.per_server[s].size());
-    }
-    for (size_t s = 0; s < n; ++s) {
-        const auto &days = result.per_server[s];
+        if (days.size() > result.combined.size())
+            result.combined.resize(days.size());
         for (size_t d = 0; d < days.size(); ++d)
             result.combined[d].add(days[d]);
     }
@@ -88,7 +50,7 @@ elasticTopPercentCapacities(trace::TraceReader &reader, size_t servers,
     std::vector<uint64_t> best(servers, 0);
     std::vector<std::unordered_set<trace::BlockId>> uniq(servers);
 
-    auto fold = [&](int) {
+    auto fold = [&]() {
         for (size_t s = 0; s < servers; ++s) {
             const uint64_t top = static_cast<uint64_t>(std::ceil(
                 fraction * static_cast<double>(uniq[s].size())));
@@ -97,27 +59,20 @@ elasticTopPercentCapacities(trace::TraceReader &reader, size_t servers,
         }
     };
 
-    trace::Request req;
-    bool any = false;
-    int current_day = 0;
-    while (reader.next(req)) {
-        if (req.server >= servers)
-            util::fatal("request from server %u but only %zu servers",
+    pumpBatches(
+        reader, trace::kDefaultBatchRequests,
+        [&](std::span<const trace::Request> slice) {
+            for (const trace::Request &req : slice) {
+                if (req.server >= servers)
+                    util::fatal(
+                        "request from server %u but only %zu servers",
                         unsigned(req.server), servers);
-        const int day = static_cast<int>(util::dayOf(req.time));
-        if (!any) {
-            current_day = day;
-            any = true;
-        }
-        if (day != current_day) {
-            fold(current_day);
-            current_day = day;
-        }
-        for (uint32_t i = 0; i < req.length_blocks; ++i)
-            uniq[req.server].insert(req.blockAt(i));
-    }
-    if (any)
-        fold(current_day);
+                for (uint32_t i = 0; i < req.length_blocks; ++i)
+                    uniq[req.server].insert(req.blockAt(i));
+            }
+        },
+        [&](int) { fold(); });
+    fold(); // the last day (a no-op on an empty trace)
     return best;
 }
 

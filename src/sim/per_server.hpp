@@ -9,6 +9,10 @@
  * fixed-size private SSDs per server. Because the hot set migrates
  * across servers (O2), static partitions strand capacity on servers
  * with few hot blocks; these simulators quantify that.
+ *
+ * runPerServer is sim::replay (sim/replay.hpp) over one private
+ * appliance per server with Route::byServer, so it runs inline or on
+ * worker threads as ReplayOptions say.
  */
 
 #ifndef SIEVESTORE_SIM_PER_SERVER_HPP
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "sim/experiment.hpp"
+#include "sim/replay.hpp"
 #include "trace/trace_reader.hpp"
 
 namespace sievestore {
@@ -31,9 +36,9 @@ struct PerServerConfig
     PolicyConfig policy;
     /** Appliance template (cache_blocks is overridden per server). */
     core::ApplianceConfig base;
-    /** Requests per replay batch (see sim/batch.hpp); results are
-     * independent of this value. */
-    size_t batch = trace::kDefaultBatchRequests;
+    /** Replay knobs (batch, threads, audits); results are
+     * independent of every one of them. */
+    ReplayOptions replay;
 };
 
 /** Outcome of a per-server simulation. */
@@ -50,7 +55,8 @@ struct PerServerResult
 /**
  * Replay a trace through one private appliance per server. Day
  * boundaries fire on every appliance (a server idle across a boundary
- * still advances its epoch).
+ * still advances its epoch). Throws FatalError on zero capacities or
+ * a request whose server has no capacity.
  */
 PerServerResult runPerServer(trace::TraceReader &reader,
                              const PerServerConfig &config);
@@ -59,7 +65,8 @@ PerServerResult runPerServer(trace::TraceReader &reader,
  * Profiling pass for the elastic iso-capacity configuration: for each
  * server, the maximum over days of ceil(fraction x that day's unique
  * blocks) — the smallest private cache that could hold the server's
- * daily top-fraction set every day.
+ * daily top-fraction set every day. Days are sliced by pumpBatches, so
+ * a trace that is not time-ordered is fatal.
  */
 std::vector<uint64_t>
 elasticTopPercentCapacities(trace::TraceReader &reader, size_t servers,

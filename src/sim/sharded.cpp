@@ -2,12 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/batch.hpp"
-#include "sim/driver.hpp"
-#include "util/check.hpp"
-#include "util/hashing.hpp"
 #include "util/logging.hpp"
-#include "util/sim_time.hpp"
 
 namespace sievestore {
 namespace sim {
@@ -54,25 +49,7 @@ ShardedResult::loadImbalance() const
 void
 ShardedResult::checkInvariants() const
 {
-    SIEVE_CHECK(!nodes.empty(), "sharded deployment has no nodes");
-    for (const auto &node : nodes) {
-        SIEVE_CHECK(node != nullptr);
-        node->checkInvariants();
-    }
-    const core::DailyReport sum = totals();
-    SIEVE_CHECK(sum.hits <= sum.accesses);
-    SIEVE_CHECK(sum.read_hits + sum.write_hits == sum.hits);
-}
-
-size_t
-shardOf(trace::BlockId block, size_t shards, uint64_t seed)
-{
-    // Page-granular so a 4 KB unit never straddles nodes.
-    const uint64_t key =
-        (static_cast<uint64_t>(trace::volumeOf(block)) << 48) |
-        trace::pageOf(block);
-    return static_cast<size_t>(
-        util::reduceRange(util::seededHash(key, seed), shards));
+    checkNodeInvariants(nodes);
 }
 
 std::vector<std::unique_ptr<core::Appliance>>
@@ -96,48 +73,38 @@ makeShardNodes(const ShardedConfig &config)
     return nodes;
 }
 
+namespace {
+
+/** Build the shard nodes and replay them on `threads` workers. */
+ShardedResult
+replayShards(trace::TraceReader &reader, const ShardedConfig &config,
+             size_t threads)
+{
+    ShardedResult result{makeShardNodes(config)};
+    ReplayOptions options;
+    static_cast<ParallelOptions &>(options) = config.parallel;
+    options.threads = threads;
+    options.batch = config.batch;
+    replay(reader, result.nodes, Route::byPage(config.seed), options);
+    return result;
+}
+
+} // namespace
+
 ShardedResult
 runSharded(trace::TraceReader &reader, const ShardedConfig &config)
 {
-    ShardedResult result;
-    result.nodes = makeShardNodes(config);
+    return replayShards(reader, config, 0);
+}
 
-    const bool audit = defaultCheckInvariants();
-
-    // Per-shard accumulation: subrequests buffer until a shard's bin
-    // fills or a day ends, then hit that node as one processBatch.
-    // Each node still consumes exactly the subrequest stream the
-    // per-request driver would feed it, in the same order.
-    auto deliver = [&result](size_t shard,
-                             std::span<const trace::Request> reqs) {
-        result.nodes[shard]->processBatch(reqs);
-    };
-    RequestBatcher<decltype(deliver)> batcher(config.shards,
-                                              config.batch, deliver);
-
-    pumpBatches(
-        reader, config.batch,
-        [&](std::span<const trace::Request> slice) {
-            for (const trace::Request &req : slice)
-                forEachSubrequest(
-                    req, config.shards, config.seed,
-                    [&batcher](size_t shard, const trace::Request &sub) {
-                        batcher.add(shard, sub);
-                    });
-        },
-        [&](int day) {
-            batcher.flushAll();
-            for (auto &node : result.nodes)
-                node->finishDay(day);
-            if (audit)
-                result.checkInvariants();
-        });
-    batcher.flushAll();
-    for (auto &node : result.nodes)
-        node->finishTrace();
-    if (audit)
-        result.checkInvariants();
-    return result;
+ShardedResult
+runShardedParallel(trace::TraceReader &reader,
+                   const ShardedConfig &config)
+{
+    return replayShards(reader, config,
+                        config.parallel.threads == 0
+                            ? config.shards
+                            : config.parallel.threads);
 }
 
 } // namespace sim

@@ -12,7 +12,9 @@
  * O2), while request traffic and metastate divide ~evenly.
  *
  * Requests are split at 4 KB page granularity (a page never straddles
- * nodes, so page-coalesced SSD I/O accounting is preserved).
+ * nodes, so page-coalesced SSD I/O accounting is preserved): both
+ * drivers here are sim::replay (sim/replay.hpp) over the shard nodes
+ * with Route::byPage, inline or on worker threads.
  */
 
 #ifndef SIEVESTORE_SIM_SHARDED_HPP
@@ -22,46 +24,11 @@
 #include <vector>
 
 #include "sim/experiment.hpp"
+#include "sim/replay.hpp"
 #include "trace/trace_reader.hpp"
 
 namespace sievestore {
 namespace sim {
-
-/**
- * Compile-time cap on requests carried per parallel-replay queue item
- * (the SPSC hand-off batch). The runtime ShardedConfig::batch knob is
- * clamped to it on the queue path; larger decode batches simply span
- * several queue items.
- */
-inline constexpr size_t kQueueBatchRequests = 64;
-
-/** Options for the parallel replay engine (runShardedParallel). */
-struct ParallelOptions
-{
-    /**
-     * Worker threads (0 = one per shard). Clamped to the shard count;
-     * with fewer threads than shards, shards are distributed
-     * round-robin and each worker multiplexes its queues.
-     */
-    size_t threads = 0;
-    /**
-     * Requests buffered per shard queue. Divided by the hand-off
-     * batch size to get the ring's item capacity (at least 2 items,
-     * rounded up to a power of two), so backpressure semantics track
-     * requests regardless of batching.
-     */
-    size_t queue_depth = 4096;
-    /**
-     * Lockstep mode: calendar-day barriers hold every shard at the
-     * same epoch boundary, so cross-shard invariant audits (and any
-     * future cross-shard coordination) observe a consistent cut of
-     * the deployment. Per-node counters are bit-identical either way
-     * — shards share no block state, so each node's result is a pure
-     * function of its own subrequest stream — and turning this off
-     * only removes the barrier stalls (free-running workers).
-     */
-    bool deterministic = true;
-};
 
 /** Configuration for a sharded deployment. */
 struct ShardedConfig
@@ -77,15 +44,10 @@ struct ShardedConfig
     core::ApplianceConfig node;
     /** Hash seed for the page -> shard mapping. */
     uint64_t seed = 0;
-    /**
-     * Requests per batch on the replay path (decode, per-shard
-     * accumulation, and — in the parallel driver — SPSC hand-off,
-     * where it is capped at kQueueBatchRequests per queue item).
-     * Results are independent of this value; 1 reproduces the
-     * per-request hand-off.
-     */
+    /** ReplayOptions::batch of both drivers. */
     size_t batch = trace::kDefaultBatchRequests;
-    /** Parallel replay knobs (used by runShardedParallel only). */
+    /** The threading knobs (read by runShardedParallel only, where
+     * threads == 0 means one worker per shard). */
     ParallelOptions parallel;
 };
 
@@ -102,16 +64,9 @@ struct ShardedResult
     /** Worst-case spread: max node accesses / mean node accesses. */
     double loadImbalance() const;
 
-    /**
-     * Audit the deployment: at least one live node, every node's own
-     * invariants hold, and the summed totals are consistent (hits
-     * never exceed accesses). Aborts on violation.
-     */
+    /** The replay audit (checkNodeInvariants) over the nodes. */
     void checkInvariants() const;
 };
-
-/** Shard index of a block (stable page-granular hash). */
-size_t shardOf(trace::BlockId block, size_t shards, uint64_t seed);
 
 /**
  * Instantiate the per-node appliances for a sharded deployment
@@ -123,59 +78,20 @@ std::vector<std::unique_ptr<core::Appliance>>
 makeShardNodes(const ShardedConfig &config);
 
 /**
- * Split one request into per-shard subrequests — maximal runs of
- * consecutive blocks mapping to the same shard — and invoke
- * fn(shard, subrequest) for each run in block order. Latency is
- * inherited; each subrequest keeps its own interpolation span, which
- * approximates the original block completion times. Zero-length
- * requests produce no subrequests. This is the single splitting
- * routine used by both replay drivers: bit-identical sharded results
- * depend on serial and parallel agreeing on it exactly.
- */
-template <typename Fn>
-void
-forEachSubrequest(const trace::Request &req, size_t shards,
-                  uint64_t seed, Fn &&fn)
-{
-    if (req.length_blocks == 0)
-        return;
-    uint32_t run_start = 0;
-    size_t run_shard = shardOf(req.blockAt(0), shards, seed);
-    for (uint32_t i = 1; i <= req.length_blocks; ++i) {
-        const size_t shard =
-            i < req.length_blocks
-                ? shardOf(req.blockAt(i), shards, seed)
-                : SIZE_MAX;
-        if (shard == run_shard)
-            continue;
-        trace::Request sub = req;
-        sub.offset_blocks = req.offset_blocks + run_start;
-        sub.length_blocks = i - run_start;
-        fn(run_shard, sub);
-        run_start = i;
-        run_shard = shard;
-    }
-}
-
-/**
- * Replay a trace through a sharded deployment. Requests are split into
- * per-shard subrequests at page granularity; day boundaries fire on
- * every node.
+ * Replay a trace through a sharded deployment, inline. Requests are
+ * split into per-shard subrequests at page granularity
+ * (forEachSubrequest); day boundaries fire on every node.
  */
 ShardedResult runSharded(trace::TraceReader &reader,
                          const ShardedConfig &config);
 
 /**
- * Parallel replay: one reader thread (the caller) partitions the
- * time-ordered trace into bounded SPSC queues (util/spsc_queue.hpp);
- * ParallelOptions::threads workers drive the per-shard appliances
- * through the same day-boundary/finishDay sequence the serial driver
- * issues. Because shards share no block state and every node consumes
- * exactly the subrequest/day-marker stream runSharded would feed it,
- * the per-node DailyReports are bit-identical to runSharded's (the
- * differential tests assert this field-for-field). In deterministic
- * mode, calendar-day barriers additionally hold the shards in epoch
- * lockstep so cross-shard invariant audits see a consistent cut.
+ * runSharded on worker threads: the caller decodes and routes into
+ * bounded SPSC queues while ParallelOptions::threads workers (0 = one
+ * per shard) drive the shard nodes. Every node consumes exactly the
+ * subrequest/day-marker stream runSharded would feed it, so the
+ * per-node DailyReports are bit-identical to runSharded's (the
+ * differential tests assert this field-for-field).
  */
 ShardedResult runShardedParallel(trace::TraceReader &reader,
                                  const ShardedConfig &config);

@@ -2,13 +2,13 @@
  * @file
  * Bounded lock-free single-producer / single-consumer queue.
  *
- * The parallel replay engine (sim/sharded_parallel.cpp) moves every
- * request of a sharded trace from one reader thread to one worker per
- * shard; with millions of requests per simulated day the hand-off is a
- * hot path, so the queue is a wait-free ring buffer: one atomic store
- * per push and per pop, indices on separate cache lines, and cached
- * peer positions so the common case touches no shared line at all
- * (the "fast forward" optimization of Rigtorp-style SPSC rings).
+ * Threaded replay (sim/replay.cpp) moves every routed request from
+ * one reader thread to the worker that owns its node; with millions
+ * of requests per simulated day the hand-off is a hot path, so the
+ * queue is a wait-free ring buffer: one atomic store per push and per
+ * pop, indices on separate cache lines, and cached peer positions so
+ * the common case touches no shared line at all (the "fast forward"
+ * optimization of Rigtorp-style SPSC rings).
  *
  * Contract: exactly one thread calls tryPush/push/close (the producer)
  * and exactly one thread calls tryPop/pop (the consumer). Release

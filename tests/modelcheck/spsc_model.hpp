@@ -24,8 +24,8 @@
  *    precisely to forbid this order.
  *  - NoCloseRecheck: the consumer trusts one failed tryPop + closed
  *    flag and skips the final re-poll, losing items pushed between
- *    the two loads (the race the comment in sharded_parallel.cpp's
- *    pollShard documents).
+ *    the two loads (the race the comment in sim/replay.cpp's
+ *    pollNode documents).
  *  - NeverRefreshHeadCache: the producer never refreshes its cached
  *    consumer position, so a once-full ring looks full forever and
  *    the system deadlocks.
@@ -323,7 +323,7 @@ class ModelSpscSystem : public SystemBase
  * The real util::SpscQueue under operation-granularity exploration:
  * each step is one complete public call, so the explorer covers every
  * interleaving of the two threads' operation sequences, including the
- * close/drain race pollShard handles.
+ * close/drain race pollNode handles.
  */
 class RealSpscSystem : public SystemBase
 {

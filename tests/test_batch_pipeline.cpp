@@ -1,7 +1,7 @@
 /**
  * @file
  * Batched request-path pipeline tests (sim/batch.hpp and the four
- * drivers routed through it). The pipeline's contract is that the
+ * drivers, each one sim::replay call). The pipeline's contract is that the
  * batch size is a pure performance knob: for ANY batch size, every
  * driver must produce reports bit-identical to the per-request
  * (batch=1) replay, across policies, shard counts, day gaps, and
@@ -16,6 +16,7 @@
 
 #include "core/appliance.hpp"
 #include "core/sievestore_c.hpp"
+#include "list_reader.hpp"
 #include "sim/batch.hpp"
 #include "sim/driver.hpp"
 #include "sim/experiment.hpp"
@@ -195,35 +196,18 @@ TEST(BatchPipeline, ZeroBatchIsFatal)
                  FatalError);
 }
 
-/** A reader that emits a day regression (VectorTrace rejects those at
- * construction, so the facade's own check needs a raw reader). */
-class DisorderedReader : public trace::TraceReader
-{
-  public:
-    bool
-    next(trace::Request &out) override
-    {
-        if (pos_ >= 2)
-            return false;
-        out = trace::Request{};
-        out.time = pos_ == 0 ? 2 * util::kUsPerDay : 0;
-        out.length_blocks = 8;
-        ++pos_;
-        return true;
-    }
-    void reset() override { pos_ = 0; }
-
-  private:
-    size_t pos_ = 0;
-};
-
 TEST(BatchPipeline, TimeDisorderAcrossDaysIsFatal)
 {
     // pumpBatches rejects day regressions uniformly for every driver.
     core::ApplianceConfig ac;
     ac.cache_blocks = 64;
     auto app = sim::makeAppliance(policyFor(sim::PolicyKind::AOD), ac);
-    DisorderedReader reader;
+    // VectorTrace rejects disorder at construction, hence a raw reader.
+    trace::Request late, early;
+    late.time = 2 * util::kUsPerDay;
+    late.length_blocks = 8;
+    early.length_blocks = 8;
+    testutil::ListReader reader({late, early});
     EXPECT_THROW(sim::runTrace(reader, *app), FatalError);
 }
 
@@ -301,13 +285,13 @@ TEST(BatchPipeline, PerServerInvariantAcrossBatchSizes)
     golden_cfg.capacities_blocks = {128, 64, 256};
     golden_cfg.policy = policyFor(sim::PolicyKind::SieveStoreC);
     golden_cfg.base.cache_blocks = 128;
-    golden_cfg.batch = 1;
+    golden_cfg.replay.batch = 1;
     trace::VectorTrace golden_trace(reqs);
     const auto golden = sim::runPerServer(golden_trace, golden_cfg);
 
     for (const size_t batch : {size_t(7), size_t(64), size_t(512)}) {
         sim::PerServerConfig cfg = golden_cfg;
-        cfg.batch = batch;
+        cfg.replay.batch = batch;
         trace::VectorTrace reader(reqs);
         const auto result = sim::runPerServer(reader, cfg);
         const std::string label = "batch=" + std::to_string(batch);

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/discrete.hpp"
+#include "list_reader.hpp"
 #include "core/unsieved.hpp"
 #include "sim/driver.hpp"
 #include "util/logging.hpp"
@@ -86,26 +89,33 @@ TEST(Driver, TraceNotStartingAtDayZero)
 TEST(Driver, RejectsTimeTravel)
 {
     core::Appliance app(config(), std::make_unique<core::AodPolicy>());
-    // Hand-roll an unsorted reader (VectorTrace would reject it).
-    class Unsorted : public TraceReader
-    {
-      public:
-        bool
-        next(Request &out) override
-        {
-            if (i >= 2)
-                return false;
-            out = makeRequest(i == 0 ? makeTime(2) : makeTime(1), 0, 8);
-            ++i;
-            return true;
-        }
-        void reset() override { i = 0; }
-
-      private:
-        int i = 0;
-    };
-    Unsorted trace;
+    // An unsorted reader (VectorTrace would reject it).
+    testutil::ListReader trace({makeRequest(makeTime(2), 0, 8),
+                                makeRequest(makeTime(1), 0, 8)});
     EXPECT_THROW(sim::runTrace(trace, app), FatalError);
+}
+
+TEST(Driver, RejectsTimeRegressionWithinADay)
+{
+    // 10 s then 5 s on the same day: the day never goes backwards, so
+    // only the per-request time check can catch it. The error names
+    // the request's ordinal and both timestamps.
+    core::Appliance app(config(), std::make_unique<core::AodPolicy>());
+    testutil::ListReader trace({makeRequest(makeTime(0, 0, 0, 10), 0, 8),
+                                makeRequest(makeTime(0, 0, 0, 5), 64, 8)});
+    sim::DriverOptions opts;
+    opts.check_invariants = true;
+    try {
+        sim::runTrace(trace, app, opts);
+        FAIL() << "a time regression within one day was replayed";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("request 2 at 5000000 us"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("follows one at 10000000 us"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 TEST(Driver, EmptyTrace)

@@ -8,6 +8,7 @@
 
 #include <utility>
 
+#include "list_reader.hpp"
 #include "sim/driver.hpp"
 #include "sim/experiment.hpp"
 #include "util/logging.hpp"
@@ -118,6 +119,16 @@ TEST(PerDayTopBlocks, FindsDailyHotSet)
     EXPECT_EQ(sets[0][0], makeBlockId(0, 0));
     ASSERT_EQ(sets[1].size(), 1u);
     EXPECT_EQ(sets[1][0], makeBlockId(0, 800));
+}
+
+TEST(PerDayTopBlocks, RejectsADayThatGoesBackwards)
+{
+    // Days 0, 1, 0: the second day-0 run must not silently replace
+    // day 0's top set.
+    testutil::ListReader trace({makeRequest(makeTime(0, 1), 0, 1),
+                               makeRequest(makeTime(1, 1), 800, 1),
+                               makeRequest(makeTime(0, 2), 900, 1)});
+    EXPECT_THROW(perDayTopBlocks(trace, 0.01), FatalError);
 }
 
 TEST(IdealAppliance, CapturesEachDaysTopBlocks)

@@ -246,6 +246,44 @@ TEST(ParallelReplay, BatchSizeSweepIsBitIdentical)
     }
 }
 
+TEST(ParallelReplay, WholeRouteOnOneWorkerMatchesRunTrace)
+{
+    // runTrace with threads = 1: the caller decodes, one worker drives
+    // the appliance. Continuous and epoch-batched policies alike must
+    // match the inline runTrace field for field, day by day.
+    auto gen = makeGenerator(0x1a2b, 65536.0);
+    for (const PolicyKind kind :
+         {PolicyKind::SieveStoreC, PolicyKind::SieveStoreD}) {
+        PolicyConfig policy;
+        policy.kind = kind;
+        policy.sieve_c.imct_slots = 1 << 12;
+        core::ApplianceConfig node;
+        node.cache_blocks = 2048;
+        node.track_occupancy = false;
+
+        auto inline_app = makeAppliance(policy, node);
+        gen.reset();
+        runTrace(gen, *inline_app);
+
+        DriverOptions options;
+        options.threads = 1;
+        auto worker_app = makeAppliance(policy, node);
+        gen.reset();
+        runTrace(gen, *worker_app, options);
+
+        const auto &id = inline_app->daily();
+        const auto &wd = worker_app->daily();
+        const std::string where = inline_app->policyName();
+        ASSERT_EQ(id.size(), wd.size()) << where;
+        for (size_t d = 0; d < id.size(); ++d)
+            expectReportEq(id[d], wd[d],
+                           where + " day " + std::to_string(d));
+        EXPECT_EQ(inline_app->lastFinishedDay(),
+                  worker_app->lastFinishedDay())
+            << where;
+    }
+}
+
 TEST(ParallelReplay, RejectsBadConfig)
 {
     VectorTrace empty{std::vector<Request>{}};

@@ -1,11 +1,16 @@
 /**
  * @file
- * Unit tests for per-server caching simulation (Section 5.3).
+ * Unit tests for per-server caching simulation (Section 5.3), inline
+ * and on worker threads.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "list_reader.hpp"
 #include "sim/per_server.hpp"
+#include "trace/synthetic.hpp"
 #include "util/logging.hpp"
 #include "util/sim_time.hpp"
 
@@ -118,6 +123,119 @@ TEST(PerServer, RejectsOutOfRangeServer)
     auto cfg = config({64, 64});
     EXPECT_THROW(runPerServer(trace, cfg), FatalError);
     EXPECT_THROW(runPerServer(trace, config({})), FatalError);
+}
+
+/** Field-for-field equality of one day's report. */
+void
+expectReportEq(const core::DailyReport &a, const core::DailyReport &b,
+               const std::string &where)
+{
+    EXPECT_EQ(a.accesses, b.accesses) << where;
+    EXPECT_EQ(a.read_accesses, b.read_accesses) << where;
+    EXPECT_EQ(a.hits, b.hits) << where;
+    EXPECT_EQ(a.read_hits, b.read_hits) << where;
+    EXPECT_EQ(a.write_hits, b.write_hits) << where;
+    EXPECT_EQ(a.allocation_write_blocks, b.allocation_write_blocks)
+        << where;
+    EXPECT_EQ(a.batch_moved_blocks, b.batch_moved_blocks) << where;
+    EXPECT_EQ(a.ssd_read_ios, b.ssd_read_ios) << where;
+    EXPECT_EQ(a.ssd_write_ios, b.ssd_write_ios) << where;
+    EXPECT_EQ(a.ssd_alloc_ios, b.ssd_alloc_ios) << where;
+    EXPECT_EQ(a.tune_t1, b.tune_t1) << where;
+    EXPECT_EQ(a.tune_t2, b.tune_t2) << where;
+    EXPECT_EQ(a.tune_switches, b.tune_switches) << where;
+    EXPECT_EQ(a.storage_read_ios, b.storage_read_ios) << where;
+    EXPECT_EQ(a.storage_write_ios, b.storage_write_ios) << where;
+    EXPECT_EQ(a.storage_read_errors, b.storage_read_errors) << where;
+    EXPECT_EQ(a.storage_write_errors, b.storage_write_errors) << where;
+    EXPECT_EQ(a.storage_read_ns, b.storage_read_ns) << where;
+    EXPECT_EQ(a.storage_write_ns, b.storage_write_ns) << where;
+}
+
+TEST(PerServer, ThreadedReplayIsBitIdenticalToInline)
+{
+    // The paper's 13-server ensemble, one private appliance each. The
+    // inline per-request replay is the reference; every thread count
+    // (13 = one worker per server) and batch size must reproduce each
+    // server's per-day reports exactly.
+    trace::SyntheticConfig scfg;
+    scfg.seed = 0x5e53;
+    scfg.scale = 1.0 / 131072.0;
+    auto gen = trace::SyntheticEnsembleGenerator::paper(
+        trace::EnsembleConfig::paperEnsemble(), scfg);
+    const size_t servers =
+        trace::EnsembleConfig::paperEnsemble().serverCount();
+
+    sim::PerServerConfig golden_cfg;
+    golden_cfg.capacities_blocks.assign(servers, 96);
+    golden_cfg.policy.kind = sim::PolicyKind::SieveStoreC;
+    golden_cfg.policy.sieve_c.imct_slots = 1 << 12;
+    golden_cfg.base.track_occupancy = false;
+    golden_cfg.replay.batch = 1;
+    gen.reset();
+    const auto golden = runPerServer(gen, golden_cfg);
+    ASSERT_EQ(golden.per_server.size(), servers);
+    ASSERT_GT(core::sumReports(golden.combined).hits, 0u);
+
+    for (const size_t threads :
+         {size_t(0), size_t(1), size_t(2), size_t(13)}) {
+        for (const size_t batch : {size_t(1), size_t(64)}) {
+            sim::PerServerConfig cfg = golden_cfg;
+            cfg.replay.threads = threads;
+            cfg.replay.batch = batch;
+            gen.reset();
+            const auto result = runPerServer(gen, cfg);
+            const std::string label = "threads=" +
+                                      std::to_string(threads) +
+                                      " batch=" + std::to_string(batch);
+            ASSERT_EQ(result.per_server.size(), servers) << label;
+            for (size_t s = 0; s < servers; ++s) {
+                const auto &gd = golden.per_server[s];
+                const auto &rd = result.per_server[s];
+                ASSERT_EQ(gd.size(), rd.size()) << label << " server " << s;
+                for (size_t d = 0; d < gd.size(); ++d)
+                    expectReportEq(gd[d], rd[d],
+                                   label + " server " +
+                                       std::to_string(s) + " day " +
+                                       std::to_string(d));
+            }
+        }
+    }
+}
+
+TEST(PerServer, OutOfRangeServerOnWorkersIsFatalAndJoins)
+{
+    // Two days of traffic for servers 0 and 1, then a request from
+    // server 5 mid-way through day 1. The reader raises FatalError
+    // while both workers are live; replay must close the queues and
+    // join them (an unjoined std::thread would terminate the process).
+    std::vector<Request> reqs;
+    for (uint64_t day = 0; day < 2; ++day)
+        for (uint64_t i = 0; i < 200; ++i)
+            reqs.push_back(makeRequest(makeTime(day, 1, 0, i),
+                                       ServerId(i % 2), (i % 32) * 8, 8));
+    reqs.push_back(makeRequest(makeTime(1, 2), 5, 0, 8));
+    reqs.push_back(makeRequest(makeTime(1, 3), 0, 0, 8));
+    VectorTrace trace(std::move(reqs));
+    for (const bool deterministic : {true, false}) {
+        auto cfg = config({64, 64});
+        cfg.replay.threads = 2;
+        cfg.replay.batch = 16;
+        cfg.replay.deterministic = deterministic;
+        trace.reset();
+        EXPECT_THROW(runPerServer(trace, cfg), FatalError)
+            << "deterministic=" << deterministic;
+    }
+}
+
+TEST(ElasticCapacities, RejectsADayThatGoesBackwards)
+{
+    // Days 0, 1, 0: a later day-0 run must not fold into a fresh day.
+    testutil::ListReader trace({makeRequest(makeTime(0, 1), 0, 0, 8),
+                                makeRequest(makeTime(1, 1), 0, 8, 8),
+                                makeRequest(makeTime(0, 2), 0, 16, 8)});
+    EXPECT_THROW(sim::elasticTopPercentCapacities(trace, 1, 0.01),
+                 FatalError);
 }
 
 TEST(ElasticCapacities, TopPercentOfDailyUnique)
