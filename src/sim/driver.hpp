@@ -16,10 +16,6 @@
 namespace sievestore {
 namespace sim {
 
-/** runTrace's options (threads > 0 runs the appliance on a worker
- * while the caller decodes). */
-using DriverOptions = ReplayOptions;
-
 /** Replay an entire trace through an appliance (see sim::replay). No
  * epoch is run after the final day — there is no next day to serve. */
 void runTrace(trace::TraceReader &reader, core::Appliance &appliance,

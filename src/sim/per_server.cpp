@@ -4,13 +4,14 @@
 #include <unordered_set>
 
 #include "sim/batch.hpp"
+#include "sim/replay.hpp"
 #include "util/logging.hpp"
 
 namespace sievestore {
 namespace sim {
 
-PerServerResult
-runPerServer(trace::TraceReader &reader, const PerServerConfig &config)
+std::vector<std::unique_ptr<core::Appliance>>
+makePerServerNodes(const PerServerConfig &config)
 {
     const size_t n = config.capacities_blocks.size();
     if (n == 0)
@@ -28,7 +29,17 @@ runPerServer(trace::TraceReader &reader, const PerServerConfig &config)
             pc.adba_log_dir += "/server" + std::to_string(s);
         appliances.push_back(makeAppliance(pc, ac));
     }
-    replay(reader, appliances, Route::byServer(), config.replay);
+    return appliances;
+}
+
+PerServerResult
+runPerServer(trace::TraceReader &reader, const PerServerConfig &config)
+{
+    const auto appliances = makePerServerNodes(config);
+    const size_t n = appliances.size();
+    ReplayOptions options;
+    options.batch = config.batch;
+    replay(reader, appliances, Route::byServer(), options);
 
     PerServerResult result;
     for (size_t s = 0; s < n; ++s) {

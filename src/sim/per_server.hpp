@@ -11,17 +11,17 @@
  * with few hot blocks; these simulators quantify that.
  *
  * runPerServer is sim::replay (sim/replay.hpp) over one private
- * appliance per server with Route::byServer, so it runs inline or on
- * worker threads as ReplayOptions say.
+ * appliance per server with Route::byServer; sim::replay over
+ * makePerServerNodes runs the same replay on worker threads.
  */
 
 #ifndef SIEVESTORE_SIM_PER_SERVER_HPP
 #define SIEVESTORE_SIM_PER_SERVER_HPP
 
+#include <memory>
 #include <vector>
 
 #include "sim/experiment.hpp"
-#include "sim/replay.hpp"
 #include "trace/trace_reader.hpp"
 
 namespace sievestore {
@@ -36,9 +36,9 @@ struct PerServerConfig
     PolicyConfig policy;
     /** Appliance template (cache_blocks is overridden per server). */
     core::ApplianceConfig base;
-    /** Replay knobs (batch, threads, audits); results are
-     * independent of every one of them. */
-    ReplayOptions replay;
+    /** Requests per replay batch (see sim/batch.hpp); results are
+     * independent of this value. */
+    size_t batch = trace::kDefaultBatchRequests;
 };
 
 /** Outcome of a per-server simulation. */
@@ -53,7 +53,17 @@ struct PerServerResult
 };
 
 /**
- * Replay a trace through one private appliance per server. Day
+ * Instantiate one private appliance per server (cache_blocks from
+ * capacities_blocks, decorrelated seeds, per-server ADBA log
+ * directories). runPerServer replays these inline; sim::replay with
+ * Route::byServer() runs the same nodes on worker threads. Throws
+ * FatalError on zero capacities.
+ */
+std::vector<std::unique_ptr<core::Appliance>>
+makePerServerNodes(const PerServerConfig &config);
+
+/**
+ * Replay a trace inline through makePerServerNodes(config). Day
  * boundaries fire on every appliance (a server idle across a boundary
  * still advances its epoch). Throws FatalError on zero capacities or
  * a request whose server has no capacity.

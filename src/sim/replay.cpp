@@ -454,8 +454,10 @@ void
 runTrace(trace::TraceReader &reader, core::Appliance &appliance,
          const DriverOptions &options)
 {
+    ReplayOptions inline_options;
+    static_cast<DriverOptions &>(inline_options) = options;
     core::Appliance *node = &appliance;
-    replay(reader, Nodes(&node, 1), Route::whole(), options);
+    replay(reader, Nodes(&node, 1), Route::whole(), inline_options);
 }
 
 } // namespace sim

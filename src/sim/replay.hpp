@@ -40,6 +40,17 @@ bool defaultCheckInvariants();
  * ReplayOptions::batch clamped to it. */
 inline constexpr size_t kQueueBatchRequests = 64;
 
+/** The inline knobs of replay, and runTrace's options. */
+struct DriverOptions
+{
+    /** Audit every node's checkInvariants() and the summed totals at
+     * every day boundary and at end of trace. */
+    bool check_invariants = defaultCheckInvariants();
+    /** Requests per decode batch (sim/batch.hpp); never changes
+     * results, and 1 is the per-request path. */
+    size_t batch = trace::kDefaultBatchRequests;
+};
+
 /** The threading knobs of replay. */
 struct ParallelOptions
 {
@@ -58,15 +69,9 @@ struct ParallelOptions
     bool deterministic = true;
 };
 
-/** Every replay knob: the threading knobs plus auditing and batch. */
-struct ReplayOptions : ParallelOptions
+/** Every replay knob. */
+struct ReplayOptions : DriverOptions, ParallelOptions
 {
-    /** Audit every node's checkInvariants() and the summed totals at
-     * every day boundary and at end of trace. */
-    bool check_invariants = defaultCheckInvariants();
-    /** Requests per decode batch (sim/batch.hpp); never changes
-     * results, and 1 is the per-request path. */
-    size_t batch = trace::kDefaultBatchRequests;
 };
 
 /** How replay assigns each request to a node: a closed set. */
@@ -144,7 +149,11 @@ checkNodeInvariants(const Nodes &nodes)
  * node for every crossed day boundary (empty days included),
  * finishTrace() at the end, and the audit at both when
  * options.check_invariants. Worker threads are joined before return,
- * also when the trace or the route raises FatalError.
+ * also when the trace or the route raises FatalError. A FatalError
+ * raised inside a node on a worker (processBatch, finishDay,
+ * finishTrace — e.g. a backend or access-log write failure) is not
+ * carried back: it escapes the worker thread and terminates the
+ * process. Inline (threads == 0) it reaches the caller.
  */
 void replay(trace::TraceReader &reader,
             std::span<core::Appliance *const> nodes, Route route,

@@ -285,13 +285,13 @@ TEST(BatchPipeline, PerServerInvariantAcrossBatchSizes)
     golden_cfg.capacities_blocks = {128, 64, 256};
     golden_cfg.policy = policyFor(sim::PolicyKind::SieveStoreC);
     golden_cfg.base.cache_blocks = 128;
-    golden_cfg.replay.batch = 1;
+    golden_cfg.batch = 1;
     trace::VectorTrace golden_trace(reqs);
     const auto golden = sim::runPerServer(golden_trace, golden_cfg);
 
     for (const size_t batch : {size_t(7), size_t(64), size_t(512)}) {
         sim::PerServerConfig cfg = golden_cfg;
-        cfg.replay.batch = batch;
+        cfg.batch = batch;
         trace::VectorTrace reader(reqs);
         const auto result = sim::runPerServer(reader, cfg);
         const std::string label = "batch=" + std::to_string(batch);

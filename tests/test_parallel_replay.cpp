@@ -13,6 +13,7 @@
  * free-running mode) must not change a single bit either.
  */
 
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -248,9 +249,10 @@ TEST(ParallelReplay, BatchSizeSweepIsBitIdentical)
 
 TEST(ParallelReplay, WholeRouteOnOneWorkerMatchesRunTrace)
 {
-    // runTrace with threads = 1: the caller decodes, one worker drives
-    // the appliance. Continuous and epoch-batched policies alike must
-    // match the inline runTrace field for field, day by day.
+    // sim::replay of the whole route with threads = 1: the caller
+    // decodes, one worker drives the appliance. Continuous and
+    // epoch-batched policies alike must match the inline runTrace
+    // field for field, day by day.
     auto gen = makeGenerator(0x1a2b, 65536.0);
     for (const PolicyKind kind :
          {PolicyKind::SieveStoreC, PolicyKind::SieveStoreD}) {
@@ -265,11 +267,13 @@ TEST(ParallelReplay, WholeRouteOnOneWorkerMatchesRunTrace)
         gen.reset();
         runTrace(gen, *inline_app);
 
-        DriverOptions options;
+        ReplayOptions options;
         options.threads = 1;
-        auto worker_app = makeAppliance(policy, node);
+        std::vector<std::unique_ptr<core::Appliance>> worker;
+        worker.push_back(makeAppliance(policy, node));
         gen.reset();
-        runTrace(gen, *worker_app, options);
+        replay(gen, worker, Route::whole(), options);
+        const auto &worker_app = worker.front();
 
         const auto &id = inline_app->daily();
         const auto &wd = worker_app->daily();

@@ -10,6 +10,7 @@
 
 #include "list_reader.hpp"
 #include "sim/per_server.hpp"
+#include "sim/replay.hpp"
 #include "trace/synthetic.hpp"
 #include "util/logging.hpp"
 #include "util/sim_time.hpp"
@@ -155,9 +156,10 @@ expectReportEq(const core::DailyReport &a, const core::DailyReport &b,
 TEST(PerServer, ThreadedReplayIsBitIdenticalToInline)
 {
     // The paper's 13-server ensemble, one private appliance each. The
-    // inline per-request replay is the reference; every thread count
-    // (13 = one worker per server) and batch size must reproduce each
-    // server's per-day reports exactly.
+    // inline per-request runPerServer is the reference; sim::replay of
+    // the same nodes at every thread count (13 = one worker per
+    // server) and batch size must reproduce each server's per-day
+    // reports exactly.
     trace::SyntheticConfig scfg;
     scfg.seed = 0x5e53;
     scfg.scale = 1.0 / 131072.0;
@@ -166,32 +168,33 @@ TEST(PerServer, ThreadedReplayIsBitIdenticalToInline)
     const size_t servers =
         trace::EnsembleConfig::paperEnsemble().serverCount();
 
-    sim::PerServerConfig golden_cfg;
-    golden_cfg.capacities_blocks.assign(servers, 96);
-    golden_cfg.policy.kind = sim::PolicyKind::SieveStoreC;
-    golden_cfg.policy.sieve_c.imct_slots = 1 << 12;
-    golden_cfg.base.track_occupancy = false;
-    golden_cfg.replay.batch = 1;
+    sim::PerServerConfig cfg;
+    cfg.capacities_blocks.assign(servers, 96);
+    cfg.policy.kind = sim::PolicyKind::SieveStoreC;
+    cfg.policy.sieve_c.imct_slots = 1 << 12;
+    cfg.base.track_occupancy = false;
+    cfg.batch = 1;
     gen.reset();
-    const auto golden = runPerServer(gen, golden_cfg);
+    const auto golden = runPerServer(gen, cfg);
     ASSERT_EQ(golden.per_server.size(), servers);
     ASSERT_GT(core::sumReports(golden.combined).hits, 0u);
 
     for (const size_t threads :
          {size_t(0), size_t(1), size_t(2), size_t(13)}) {
         for (const size_t batch : {size_t(1), size_t(64)}) {
-            sim::PerServerConfig cfg = golden_cfg;
-            cfg.replay.threads = threads;
-            cfg.replay.batch = batch;
+            sim::ReplayOptions options;
+            options.threads = threads;
+            options.batch = batch;
+            const auto nodes = sim::makePerServerNodes(cfg);
             gen.reset();
-            const auto result = runPerServer(gen, cfg);
+            sim::replay(gen, nodes, sim::Route::byServer(), options);
             const std::string label = "threads=" +
                                       std::to_string(threads) +
                                       " batch=" + std::to_string(batch);
-            ASSERT_EQ(result.per_server.size(), servers) << label;
+            ASSERT_EQ(nodes.size(), servers) << label;
             for (size_t s = 0; s < servers; ++s) {
                 const auto &gd = golden.per_server[s];
-                const auto &rd = result.per_server[s];
+                const auto &rd = nodes[s]->daily();
                 ASSERT_EQ(gd.size(), rd.size()) << label << " server " << s;
                 for (size_t d = 0; d < gd.size(); ++d)
                     expectReportEq(gd[d], rd[d],
@@ -218,12 +221,15 @@ TEST(PerServer, OutOfRangeServerOnWorkersIsFatalAndJoins)
     reqs.push_back(makeRequest(makeTime(1, 3), 0, 0, 8));
     VectorTrace trace(std::move(reqs));
     for (const bool deterministic : {true, false}) {
-        auto cfg = config({64, 64});
-        cfg.replay.threads = 2;
-        cfg.replay.batch = 16;
-        cfg.replay.deterministic = deterministic;
+        sim::ReplayOptions options;
+        options.threads = 2;
+        options.batch = 16;
+        options.deterministic = deterministic;
+        const auto nodes = sim::makePerServerNodes(config({64, 64}));
         trace.reset();
-        EXPECT_THROW(runPerServer(trace, cfg), FatalError)
+        EXPECT_THROW(
+            sim::replay(trace, nodes, sim::Route::byServer(), options),
+            FatalError)
             << "deterministic=" << deterministic;
     }
 }
