@@ -132,6 +132,15 @@ else
     FAILED=1
 fi
 
+# ---- 7. A/B benchmark tool ----------------------------------------
+step "ab_bench.py --self-test"
+if python3 scripts/ab_bench.py --self-test > /dev/null; then
+    echo "   OK"
+else
+    python3 scripts/ab_bench.py --self-test
+    FAILED=1
+fi
+
 # ---- summary ------------------------------------------------------
 if [[ $FAILED -ne 0 ]]; then
     echo "lint: FAILED"

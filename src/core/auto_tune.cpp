@@ -14,6 +14,9 @@ AutoTunedSievePolicy::AutoTunedSievePolicy(SieveStoreCConfig sieve_cfg_,
 {
     if (tune.min_t2 == 0 || tune.min_t2 > tune.max_t2)
         util::fatal("auto-tune t2 bounds must satisfy 1 <= min <= max");
+    if (uint64_t{sieve_cfg.t1} + tune.max_t2 > kMaxThresholdSum)
+        util::fatal("auto-tune t1 + max_t2 must be at most %u",
+                    kMaxThresholdSum);
     if (tune.churn_budget <= 0.0)
         util::fatal("auto-tune churn budget must be positive");
     if (t2 < tune.min_t2)
@@ -80,6 +83,9 @@ AdaptiveSievePolicy::AdaptiveSievePolicy(AdaptiveSieveConfig config)
     if (cfg_.min_t2 == 0 || cfg_.min_t2 > cfg_.max_t2)
         util::fatal("adaptive sieve t2 bounds must satisfy "
                     "1 <= min <= max");
+    if (uint64_t{cfg_.max_t1} + cfg_.max_t2 > kMaxThresholdSum)
+        util::fatal("adaptive sieve max_t1 + max_t2 must be at most %u",
+                    kMaxThresholdSum);
     if (cfg_.ghost_budget == 0)
         util::fatal("adaptive sieve ghost budget must be positive");
     t1_ = clampT1(cfg_.base.t1);

@@ -38,7 +38,8 @@ struct AutoTuneConfig
     /** Hysteresis: only tighten above budget * (1 + slack), only
      * loosen below budget * (1 - slack). */
     double slack = 0.25;
-    /** Bounds for the adjusted MCT threshold t2. */
+    /** Bounds for the adjusted MCT threshold t2; the sieve's t1 +
+     * max_t2 must not exceed kMaxThresholdSum. */
     uint32_t min_t2 = 1;
     uint32_t max_t2 = 16;
 };
@@ -113,6 +114,8 @@ struct AdaptiveSieveConfig
     uint64_t ghost_budget = 1 << 15;
     /** Shadow sieves' IMCT size (metastate cost per candidate). */
     size_t imct_slots = 1 << 14;
+    /** Threshold bounds; max_t1 + max_t2 must not exceed
+     * kMaxThresholdSum. */
     uint32_t min_t1 = 1;
     uint32_t max_t1 = 64;
     uint32_t min_t2 = 1;

@@ -11,6 +11,7 @@ namespace core {
 Mct::Mct(WindowSpec window)
     : spec(window)
 {
+    spec.validate();
 }
 
 bool

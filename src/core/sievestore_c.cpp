@@ -6,14 +6,37 @@
 namespace sievestore {
 namespace core {
 
+namespace {
+
+void
+checkThresholds(uint32_t t1, uint32_t t2)
+{
+    if (t1 == 0 && t2 == 0)
+        util::fatal("SieveStore-C: at least one threshold must be > 0");
+    if (uint64_t{t1} + t2 > kMaxThresholdSum)
+        util::fatal("SieveStore-C: t1 + t2 = %llu exceeds %u, the "
+                    "largest threshold the sieve counters decide exactly",
+                    static_cast<unsigned long long>(uint64_t{t1} + t2),
+                    kMaxThresholdSum);
+}
+
+} // namespace
+
 SieveStoreCPolicy::SieveStoreCPolicy(SieveStoreCConfig config)
     : cfg(config), imct_(config.imct_slots, config.window, config.seed),
       mct_(config.window)
 {
     if (cfg.imct_only && cfg.mct_only)
         util::fatal("SieveStore-C: imct_only and mct_only are exclusive");
-    if (cfg.t1 == 0 && cfg.t2 == 0)
-        util::fatal("SieveStore-C: at least one threshold must be > 0");
+    checkThresholds(cfg.t1, cfg.t2);
+}
+
+void
+SieveStoreCPolicy::setThresholds(uint32_t t1, uint32_t t2)
+{
+    checkThresholds(t1, t2);
+    cfg.t1 = t1;
+    cfg.t2 = t2;
 }
 
 AllocDecision
@@ -111,6 +134,7 @@ SieveStoreCPolicy::checkInvariants() const
 {
     SIEVE_CHECK(!(cfg.imct_only && cfg.mct_only));
     SIEVE_CHECK(cfg.t1 + cfg.t2 >= 1);
+    SIEVE_CHECK(uint64_t{cfg.t1} + cfg.t2 <= kMaxThresholdSum);
     SIEVE_CHECK(imct_.window().subwindow_us == cfg.window.subwindow_us &&
                     imct_.window().k == cfg.window.k,
                 "IMCT window diverged from the configured window");

@@ -57,6 +57,12 @@ struct SieveStoreCConfig
 class SieveStoreCPolicy : public AllocationPolicy
 {
   public:
+    /**
+     * Fatal unless the window has k in [1, kMaxSubwindows] and
+     * non-empty subwindows (checked by the tables), at least one
+     * threshold is positive, and t1 + t2 <= kMaxThresholdSum (the
+     * largest threshold the one-byte tallies decide exactly).
+     */
     explicit SieveStoreCPolicy(SieveStoreCConfig config = {});
 
     AllocDecision onMiss(const trace::BlockAccess &access) override;
@@ -98,21 +104,16 @@ class SieveStoreCPolicy : public AllocationPolicy
      * auto-tuner). Takes effect on the next miss; blocks already in
      * the MCT are judged against the new value.
      */
-    void setT2(uint32_t t2) { cfg.t2 = t2; }
+    void setT2(uint32_t t2) { setThresholds(cfg.t1, t2); }
 
     /** Adjust the IMCT threshold online (adaptive sieve). Takes effect
      * on the next miss; accumulated slot counts are kept, so a lowered
      * t1 admits already-warm blocks immediately. */
-    void setT1(uint32_t t1) { cfg.t1 = t1; }
+    void setT1(uint32_t t1) { setThresholds(t1, cfg.t2); }
 
     /** Adjust both tier thresholds at once (adaptive-sieve epoch
-     * switch). */
-    void
-    setThresholds(uint32_t t1, uint32_t t2)
-    {
-        cfg.t1 = t1;
-        cfg.t2 = t2;
-    }
+     * switch). Fatal on a pair the constructor would reject. */
+    void setThresholds(uint32_t t1, uint32_t t2);
 
   private:
     SieveStoreCConfig cfg;

@@ -28,8 +28,17 @@
 namespace sievestore {
 namespace core {
 
-/** Maximum supported subwindow count per window. */
-constexpr uint32_t kMaxSubwindows = 8;
+/** Maximum supported subwindow count per window (the paper tunes 4). */
+constexpr uint32_t kMaxSubwindows = 4;
+
+/**
+ * Largest miss threshold the saturating tallies decide exactly: a
+ * policy may compare a windowed total with t1, t2 or t1 + t2, so the
+ * sieve requires t1 + t2 <= kMaxThresholdSum. While no tally has
+ * saturated the total is exact; once one has, the total is at least
+ * UINT8_MAX, which passes every threshold up to this bound.
+ */
+constexpr uint32_t kMaxThresholdSum = UINT8_MAX;
 
 /** Window configuration: W split into k subwindows. */
 struct WindowSpec
@@ -46,6 +55,18 @@ struct WindowSpec
         return t / subwindow_us;
     }
 
+    /** Fatal unless k lies in [1, kMaxSubwindows] and subwindows are
+     * non-empty. Every counter table checks its spec at construction. */
+    void
+    validate() const
+    {
+        if (k == 0 || k > kMaxSubwindows)
+            util::fatal("window subwindow count k=%u must be in [1, %u]",
+                        k, kMaxSubwindows);
+        if (subwindow_us == 0)
+            util::fatal("window subwindow length must be > 0 us");
+    }
+
     /** The paper's tuned configuration: W = 8 h, k = 4. */
     static WindowSpec
     paperDefault()
@@ -57,18 +78,20 @@ struct WindowSpec
     static WindowSpec
     ofWindow(util::TimeUs window_us, uint32_t k = 4)
     {
-        if (k == 0 || k > kMaxSubwindows)
-            util::fatal("window subwindow count must be in [1, %u]",
-                        kMaxSubwindows);
-        if (window_us < k)
-            util::fatal("window too short for %u subwindows", k);
-        return WindowSpec{window_us / k, k};
+        // A window shorter than k us leaves empty subwindows, which
+        // validate() rejects like an out-of-range k.
+        const WindowSpec spec{k == 0 ? 0 : window_us / k, k};
+        spec.validate();
+        return spec;
     }
 };
 
 /**
- * Per-entry sliding-window counter: k saturating subwindow tallies plus
- * the last-updated subwindow index. 20 bytes per entry at k = 4.
+ * Per-entry sliding-window counter: k saturating one-byte subwindow
+ * tallies plus the last-updated subwindow index as a 32-bit tag, 8 bytes
+ * per entry. Decisions match unbounded tallies for every threshold up to
+ * kMaxThresholdSum and every trace shorter than 2^32 subwindows; a later
+ * subwindow is fatal, never a silent wrap.
  */
 class WindowedCounter
 {
@@ -82,7 +105,7 @@ class WindowedCounter
     {
         advance(cur_sub, spec);
         auto &slot = counts[cur_sub % spec.k];
-        if (slot < UINT16_MAX)
+        if (slot < UINT8_MAX)
             ++slot;
         return total(cur_sub, spec);
     }
@@ -91,12 +114,13 @@ class WindowedCounter
     uint32_t
     total(uint64_t cur_sub, const WindowSpec &spec) const
     {
-        if (cur_sub >= last_sub + spec.k)
+        const uint64_t last = last_sub;
+        if (cur_sub >= last + spec.k)
             return 0;
         uint32_t sum = 0;
         // Only subwindows in (cur_sub - k, last_sub] are live.
         for (uint32_t i = 0; i < spec.k; ++i) {
-            const uint64_t sub = last_sub - i;
+            const uint64_t sub = last - i;
             if (sub + spec.k > cur_sub)
                 sum += counts[sub % spec.k];
             if (sub == 0)
@@ -109,7 +133,7 @@ class WindowedCounter
     bool
     stale(uint64_t cur_sub, const WindowSpec &spec) const
     {
-        return cur_sub >= last_sub + spec.k;
+        return cur_sub >= uint64_t{last_sub} + spec.k;
     }
 
     /**
@@ -148,37 +172,47 @@ class WindowedCounter
         for (uint32_t i = spec.k; i < kMaxSubwindows; ++i)
             SIEVE_CHECK(counts[i] == 0,
                         "subwindow slot %u beyond k=%u holds count %u",
-                        i, spec.k, counts[i]);
+                        i, spec.k, unsigned(counts[i]));
         const uint64_t max_total =
-            static_cast<uint64_t>(spec.k) * UINT16_MAX;
+            static_cast<uint64_t>(spec.k) * UINT8_MAX;
         SIEVE_CHECK(total(last_sub, spec) <= max_total);
         // A counter that reports stale must also report a zero total.
-        if (stale(last_sub + spec.k, spec))
-            SIEVE_CHECK(total(last_sub + spec.k, spec) == 0);
+        const uint64_t expired = uint64_t{last_sub} + spec.k;
+        if (stale(expired, spec))
+            SIEVE_CHECK(total(expired, spec) == 0);
     }
 
   private:
     void
     advance(uint64_t cur_sub, const WindowSpec &spec)
     {
-        if (cur_sub < last_sub) {
+        const uint64_t last = last_sub;
+        if (cur_sub < last) {
             // Out-of-order timestamps can occur when completion-time
             // allocations interleave with issue-time misses; clamp to
             // the newest subwindow seen.
             return;
         }
-        if (cur_sub >= last_sub + spec.k) {
+        if (cur_sub > UINT32_MAX)
+            util::fatal("subwindow index %llu exceeds the counter's "
+                        "32-bit subwindow tag (max %u)",
+                        static_cast<unsigned long long>(cur_sub),
+                        UINT32_MAX);
+        if (cur_sub >= last + spec.k) {
             counts.fill(0);
         } else {
-            for (uint64_t s = last_sub + 1; s <= cur_sub; ++s)
+            for (uint64_t s = last + 1; s <= cur_sub; ++s)
                 counts[s % spec.k] = 0;
         }
-        last_sub = cur_sub;
+        last_sub = static_cast<uint32_t>(cur_sub);
     }
 
-    std::array<uint16_t, kMaxSubwindows> counts{};
-    uint64_t last_sub = 0;
+    std::array<uint8_t, kMaxSubwindows> counts{};
+    uint32_t last_sub = 0;
 };
+
+static_assert(sizeof(WindowedCounter) == 8,
+              "a sieve counter is four one-byte tallies + a 32-bit tag");
 
 } // namespace core
 } // namespace sievestore

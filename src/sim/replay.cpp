@@ -16,15 +16,24 @@
  * owner; the reader blocks only on a full queue, and every item that
  * precedes a barrier round is already enqueued before the reader can
  * block on the next round's items.
+ *
+ * Failure: an exception inside a node (processBatch, finishDay,
+ * finishTrace) stops its worker, which records it, raises the shared
+ * abort flag and releases the day barrier. The other workers leave at
+ * their next idle poll or barrier, the reader gives up once it finds a
+ * queue full with the flag raised (it reads the flag only then), and
+ * the calling thread rethrows the recorded exception after the join.
  */
 
 #include "sim/replay.hpp"
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <thread>
 
 #include "sim/batch.hpp"
@@ -162,30 +171,44 @@ using ItemQueue = util::SpscQueue<Item>;
  * The mutex hand-off makes every worker's finishDay effects visible
  * to the serial phase and vice versa. The state is GUARDED_BY(mu),
  * the wait predicate included (REQUIRES(mu): it runs under the
- * reacquired lock).
+ * reacquired lock). abort() releases every waiter for good, so a
+ * failed worker never leaves the others parked.
  */
 class DayBarrier
 {
   public:
     explicit DayBarrier(size_t parties) : parties_(parties) {}
 
+    /** @return false once the barrier is aborted (no serial phase) */
     template <typename Fn>
-    void
+    bool
     arriveAndWait(Fn &&serial_fn)
     {
         util::MutexLock lock(mu);
+        if (aborted)
+            return false;
         if (++arrived == parties_) {
             serial_fn();
             arrived = 0;
             ++generation;
             cv.notify_all();
-            return;
+            return true;
         }
         const uint64_t gen = generation;
         // condition_variable_any waits on the annotated (BasicLockable)
         // scoped lock.
-        cv.wait(lock,
-                [&]() REQUIRES(mu) { return generation != gen; });
+        cv.wait(lock, [&]() REQUIRES(mu) {
+            return generation != gen || aborted;
+        });
+        return generation != gen;
+    }
+
+    void
+    abort()
+    {
+        util::MutexLock lock(mu);
+        aborted = true;
+        cv.notify_all();
     }
 
   private:
@@ -194,6 +217,7 @@ class DayBarrier
     const size_t parties_;
     size_t arrived GUARDED_BY(mu) = 0;
     uint64_t generation GUARDED_BY(mu) = 0;
+    bool aborted GUARDED_BY(mu) = false;
 };
 
 /** Where one node stands within the current replay round. */
@@ -207,6 +231,10 @@ struct WorkerArgs
     Nodes nodes;
     DayBarrier *barrier = nullptr; ///< null in free-running mode
     bool audit = false;
+    /** Raised by the first worker that fails; shared by all. */
+    std::atomic<bool> *aborted = nullptr;
+    /** What stopped this worker, read by the caller after the join. */
+    std::exception_ptr error;
 };
 
 /**
@@ -253,7 +281,7 @@ pollNode(ItemQueue &queue, core::Appliance &node, int *day_out)
 }
 
 void
-runWorker(const WorkerArgs &args)
+driveWorker(const WorkerArgs &args)
 {
     const auto &queues = *args.queues;
     const size_t n = args.owned.size();
@@ -294,8 +322,11 @@ runWorker(const WorkerArgs &args)
                     ++closed_count;
                 }
             }
-            if (running > 0 && !progressed)
+            if (running > 0 && !progressed) {
+                if (args.aborted->load(std::memory_order_relaxed))
+                    return;
                 std::this_thread::yield();
+            }
         }
 
         // The reader pushes each marker to every queue before any
@@ -304,25 +335,59 @@ runWorker(const WorkerArgs &args)
         if (saw_day_end) {
             SIEVE_CHECK(closed_count == 0 || closed_count == n,
                         "round mixed day-end and close markers");
-            if (args.barrier) {
-                args.barrier->arriveAndWait([&args, round_day] {
-                    // Serial phase: every worker has arrived, so all
-                    // nodes closed `round_day`. Audit the lockstep
-                    // property and (when enabled) the same cross-node
-                    // invariants the inline path checks per day.
-                    for (const core::Appliance *node : args.nodes)
-                        SIEVE_CHECK(node->lastFinishedDay() == round_day,
-                                    "node not in epoch lockstep: "
-                                    "cursor %d, barrier day %d",
-                                    node->lastFinishedDay(), round_day);
-                    if (args.audit)
-                        checkNodeInvariants(args.nodes);
-                });
-            }
+            // Serial phase: every worker has arrived, so all nodes
+            // closed `round_day`. Audit the lockstep property and (when
+            // enabled) the same cross-node invariants the inline path
+            // checks per day.
+            auto audit_day = [&args, round_day] {
+                for (const core::Appliance *node : args.nodes)
+                    SIEVE_CHECK(node->lastFinishedDay() == round_day,
+                                "node not in epoch lockstep: "
+                                "cursor %d, barrier day %d",
+                                node->lastFinishedDay(), round_day);
+                if (args.audit)
+                    checkNodeInvariants(args.nodes);
+            };
+            if (args.barrier && !args.barrier->arriveAndWait(audit_day))
+                return; // another worker failed
+
             for (size_t k = 0; k < n; ++k)
                 if (phase[k] == Phase::AtDayEnd)
                     phase[k] = Phase::Running;
         }
+    }
+}
+
+void
+runWorker(WorkerArgs &args)
+{
+    try {
+        driveWorker(args);
+    } catch (...) {
+        // An exception escaping the thread would terminate the
+        // process: hand it to the caller instead, and free everyone
+        // who could be waiting on this worker.
+        args.error = std::current_exception();
+        args.aborted->store(true, std::memory_order_release);
+        if (args.barrier)
+            args.barrier->abort();
+    }
+}
+
+/**
+ * The reader's hand-off into `queue`. The abort flag is read only
+ * while the queue is full, so the non-blocking path never touches it;
+ * a full queue whose worker failed would otherwise block forever.
+ */
+template <typename Fn>
+void
+pushOrAbort(ItemQueue &queue, const std::atomic<bool> &aborted, Fn &&fill)
+{
+    queue.assertProducerRole();
+    while (!queue.tryPushWith(fill)) {
+        if (aborted.load(std::memory_order_acquire))
+            util::fatal("replay worker failed");
+        std::this_thread::yield();
     }
 }
 
@@ -346,6 +411,7 @@ replayThreaded(trace::TraceReader &reader, Nodes nodes, Route route,
         queues.push_back(std::make_unique<ItemQueue>(item_depth));
 
     DayBarrier barrier(workers);
+    std::atomic<bool> aborted{false};
     std::vector<WorkerArgs> args(workers);
     for (size_t w = 0; w < workers; ++w) {
         for (size_t i = w; i < nodes.size(); i += workers)
@@ -354,21 +420,21 @@ replayThreaded(trace::TraceReader &reader, Nodes nodes, Route route,
         args[w].nodes = nodes;
         args[w].barrier = options.deterministic ? &barrier : nullptr;
         args[w].audit = options.check_invariants;
+        args[w].aborted = &aborted;
     }
 
     std::vector<std::thread> threads;
     threads.reserve(workers);
     for (size_t w = 0; w < workers; ++w)
-        threads.emplace_back(runWorker, std::cref(args[w]));
+        threads.emplace_back(runWorker, std::ref(args[w]));
 
     // Reader: the inline path's day/route logic, staging each bin
     // straight into a ring slot — one copy, no heap, even while
     // blocked on a full queue.
-    auto deliver = [&queues](size_t node,
-                             std::span<const trace::Request> reqs) {
+    auto deliver = [&queues, &aborted](
+                       size_t node, std::span<const trace::Request> reqs) {
         // The reader thread is the sole producer for every queue.
-        queues[node]->assertProducerRole();
-        queues[node]->pushWith([&reqs](Item &slot) {
+        pushOrAbort(*queues[node], aborted, [&reqs](Item &slot) {
             slot.kind = Item::Kind::Requests;
             slot.count = static_cast<uint16_t>(reqs.size());
             std::copy(reqs.begin(), reqs.end(), slot.reqs.begin());
@@ -384,6 +450,13 @@ replayThreaded(trace::TraceReader &reader, Nodes nodes, Route route,
         for (std::thread &t : threads)
             t.join();
     };
+    // A worker's failure outranks the reader's: the reader's is then
+    // only the report that it stopped because of it.
+    auto rethrow_worker_error = [&args] {
+        for (const WorkerArgs &a : args)
+            if (a.error)
+                std::rethrow_exception(a.error);
+    };
     try {
         pumpBatches(
             reader, options.batch,
@@ -397,8 +470,7 @@ replayThreaded(trace::TraceReader &reader, Nodes nodes, Route route,
                 // request is delivered after its day's boundary.
                 batcher.flushAll();
                 for (const auto &q : queues) {
-                    q->assertProducerRole();
-                    q->pushWith([day](Item &slot) {
+                    pushOrAbort(*q, aborted, [day](Item &slot) {
                         slot.kind = Item::Kind::DayEnd;
                         slot.day = day;
                         slot.count = 0;
@@ -415,9 +487,11 @@ replayThreaded(trace::TraceReader &reader, Nodes nodes, Route route,
         // join the workers before unwinding, or ~thread() would
         // terminate the process.
         close_and_join();
+        rethrow_worker_error();
         throw;
     }
     close_and_join();
+    rethrow_worker_error();
 }
 
 } // namespace

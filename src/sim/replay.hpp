@@ -149,11 +149,11 @@ checkNodeInvariants(const Nodes &nodes)
  * node for every crossed day boundary (empty days included),
  * finishTrace() at the end, and the audit at both when
  * options.check_invariants. Worker threads are joined before return,
- * also when the trace or the route raises FatalError. A FatalError
+ * also when the trace or the route raises FatalError. An exception
  * raised inside a node on a worker (processBatch, finishDay,
- * finishTrace — e.g. a backend or access-log write failure) is not
- * carried back: it escapes the worker thread and terminates the
- * process. Inline (threads == 0) it reaches the caller.
+ * finishTrace — e.g. a backend or access-log write failure) stops the
+ * replay and is rethrown on the calling thread after the join, as it
+ * is inline (threads == 0).
  */
 void replay(trace::TraceReader &reader,
             std::span<core::Appliance *const> nodes, Route route,

@@ -169,6 +169,11 @@ TEST(AutoTune, RejectsBadConfig)
     AutoTuneConfig zero;
     zero.churn_budget = 0.0;
     EXPECT_THROW(AutoTunedSievePolicy(looseSieve(), zero), FatalError);
+    // The controller may raise t2 to max_t2; t1 + max_t2 must stay
+    // within what the sieve counters decide exactly.
+    AutoTuneConfig high;
+    high.max_t2 = kMaxThresholdSum;
+    EXPECT_THROW(AutoTunedSievePolicy(looseSieve(), high), FatalError);
 }
 
 TEST(AutoTune, Name)
@@ -317,6 +322,15 @@ TEST(AdaptiveSieve, RejectsBadConfig)
     AdaptiveSieveConfig zero = smallAdaptive(4, 2);
     zero.ghost_budget = 0;
     EXPECT_THROW(AdaptiveSievePolicy{zero}, FatalError);
+    AdaptiveSieveConfig high = smallAdaptive(4, 2);
+    high.max_t1 = 240;
+    high.max_t2 = 16;
+    EXPECT_THROW(AdaptiveSievePolicy{high}, FatalError);
+    high.max_t2 = 15; // max_t1 + max_t2 == kMaxThresholdSum
+    EXPECT_NO_THROW(AdaptiveSievePolicy{high});
+    AdaptiveSieveConfig wide = smallAdaptive(4, 2);
+    wide.base.window.k = kMaxSubwindows + 1;
+    EXPECT_THROW(AdaptiveSievePolicy{wide}, FatalError);
 }
 
 /** A multi-day trace with per-day popularity drift. */

@@ -14,10 +14,13 @@
  */
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/alloc_policy.hpp"
 #include "sim/driver.hpp"
 #include "sim/sharded.hpp"
 #include "trace/synthetic.hpp"
@@ -286,6 +289,90 @@ TEST(ParallelReplay, WholeRouteOnOneWorkerMatchesRunTrace)
                   worker_app->lastFinishedDay())
             << where;
     }
+}
+
+/**
+ * Bypasses every miss and fails its first day close, as a node whose
+ * backend or access-log write fails would.
+ */
+class FatalAtDayClosePolicy : public core::AllocationPolicy
+{
+  public:
+    core::AllocDecision
+    onMiss(const BlockAccess &access) override
+    {
+        (void)access;
+        return core::AllocDecision::Bypass;
+    }
+
+    std::optional<std::vector<BlockId>>
+    onDayClose(int day) override
+    {
+        util::fatal("node failed to close day %d", day);
+    }
+
+    const char *name() const override { return "fatal-at-day-close"; }
+};
+
+/** Expect `fn` to raise the failing node's own FatalError. */
+template <typename Fn>
+void
+expectNodeFatal(Fn &&fn, const std::string &where)
+{
+    try {
+        fn();
+        ADD_FAILURE() << where << ": replay returned";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("failed to close day 0"),
+                  std::string::npos)
+            << where << ": " << e.what();
+    }
+}
+
+TEST(ParallelReplay, WorkerFatalReachesTheCaller)
+{
+    // Node 0 fails its first day close while nodes 1 and 2 are
+    // healthy. On workers, the failure must reach the caller as the
+    // node's own FatalError, whether the other worker is parked at the
+    // day barrier or running free, and whether the reader is blocked
+    // on a full queue (queue_depth 2) or not.
+    auto gen = makeGenerator(0xfa7a1, 65536.0);
+    PolicyConfig healthy;
+    healthy.kind = PolicyKind::AOD;
+    core::ApplianceConfig node;
+    node.cache_blocks = 512;
+    node.track_occupancy = false;
+    for (const size_t threads : {size_t(0), size_t(1), size_t(2)}) {
+        for (const bool deterministic : {true, false}) {
+            for (const size_t queue_depth : {size_t(2), size_t(1) << 12}) {
+                std::vector<std::unique_ptr<core::Appliance>> nodes;
+                nodes.push_back(std::make_unique<core::Appliance>(
+                    node, std::make_unique<FatalAtDayClosePolicy>()));
+                for (int i = 0; i < 2; ++i)
+                    nodes.push_back(makeAppliance(healthy, node));
+                ReplayOptions options;
+                options.threads = threads;
+                options.deterministic = deterministic;
+                options.queue_depth = queue_depth;
+                options.batch = 16;
+                gen.reset();
+                expectNodeFatal(
+                    [&] { replay(gen, nodes, Route::byPage(0), options); },
+                    "threads " + std::to_string(threads) +
+                        (deterministic ? " lockstep" : " free") +
+                        " queue " + std::to_string(queue_depth));
+            }
+        }
+    }
+    // The whole route on one worker: nobody else drains or waits.
+    ReplayOptions one;
+    one.threads = 1;
+    std::vector<std::unique_ptr<core::Appliance>> single;
+    single.push_back(std::make_unique<core::Appliance>(
+        node, std::make_unique<FatalAtDayClosePolicy>()));
+    gen.reset();
+    expectNodeFatal([&] { replay(gen, single, Route::whole(), one); },
+                    "whole route, threads 1");
 }
 
 TEST(ParallelReplay, RejectsBadConfig)

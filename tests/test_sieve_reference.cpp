@@ -154,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, SieveReference,
     ::testing::Values(Params{9, 4, 4, 1}, Params{9, 4, 4, 2},
                       Params{1, 1, 4, 3}, Params{3, 0, 4, 4},
-                      Params{9, 4, 2, 5}, Params{5, 2, 8, 6},
+                      Params{9, 4, 2, 5}, Params{5, 2, 3, 6},
                       Params{2, 7, 4, 7}, Params{4, 2, 1, 8}));
 
 } // namespace

@@ -174,6 +174,45 @@ TEST(SieveStoreC, RejectsContradictoryConfig)
     EXPECT_THROW(SieveStoreCPolicy{zeros}, FatalError);
 }
 
+TEST(SieveStoreC, RejectsOutOfRangeWindowAtConstruction)
+{
+    // A k set by field skips WindowSpec::ofWindow; construction must
+    // still refuse it, or record() would index past the tallies.
+    SieveStoreCConfig wide = smallConfig();
+    wide.window.k = kMaxSubwindows + 1;
+    EXPECT_THROW(SieveStoreCPolicy{wide}, FatalError);
+    SieveStoreCConfig none = smallConfig();
+    none.window.k = 0;
+    EXPECT_THROW(SieveStoreCPolicy{none}, FatalError);
+    SieveStoreCConfig empty = smallConfig();
+    empty.window.subwindow_us = 0;
+    EXPECT_THROW(SieveStoreCPolicy{empty}, FatalError);
+    SieveStoreCConfig widest = smallConfig();
+    widest.window.k = kMaxSubwindows;
+    EXPECT_NO_THROW(SieveStoreCPolicy{widest});
+}
+
+TEST(SieveStoreC, RejectsThresholdSumAboveCounterRange)
+{
+    SieveStoreCConfig over = smallConfig();
+    over.t1 = 200;
+    over.t2 = 56;
+    EXPECT_THROW(SieveStoreCPolicy{over}, FatalError);
+    over.t2 = 55; // t1 + t2 == kMaxThresholdSum
+    SieveStoreCPolicy sieve(over);
+    // The online setters apply the same rule and leave the sieve as
+    // it was when they refuse.
+    EXPECT_THROW(sieve.setT2(56), FatalError);
+    EXPECT_THROW(sieve.setT1(201), FatalError);
+    EXPECT_THROW(sieve.setThresholds(255, 1), FatalError);
+    EXPECT_THROW(sieve.setThresholds(0, 0), FatalError);
+    EXPECT_EQ(sieve.config().t1, 200u);
+    EXPECT_EQ(sieve.config().t2, 55u);
+    sieve.setThresholds(1, 254);
+    EXPECT_EQ(sieve.config().t1, 1u);
+    EXPECT_EQ(sieve.config().t2, 254u);
+}
+
 TEST(SieveStoreC, PaperDefaults)
 {
     SieveStoreCConfig cfg;

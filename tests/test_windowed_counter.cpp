@@ -4,14 +4,19 @@
  * (Section 3.3's k-subwindow scheme).
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/windowed_counter.hpp"
+#include "reference_windowed_counter.hpp"
 #include "util/random.hpp"
 
 namespace {
 
 using namespace sievestore::core;
+using sievestore::testing::ReferenceWindowedCounter;
+using sievestore::util::FatalError;
 using sievestore::util::kUsPerHour;
 using sievestore::util::Rng;
 
@@ -32,6 +37,23 @@ TEST(WindowSpec, OfWindowSplitsEvenly)
                  sievestore::util::FatalError);
     EXPECT_THROW(WindowSpec::ofWindow(kUsPerHour, 100),
                  sievestore::util::FatalError);
+    EXPECT_THROW(WindowSpec::ofWindow(kUsPerHour, kMaxSubwindows + 1),
+                 sievestore::util::FatalError);
+    EXPECT_THROW(WindowSpec::ofWindow(3, 4), sievestore::util::FatalError);
+}
+
+TEST(WindowSpec, ValidateRejectsFieldSetOutOfRangeK)
+{
+    WindowSpec spec;
+    spec.k = kMaxSubwindows + 1;
+    EXPECT_THROW(spec.validate(), FatalError);
+    spec.k = 0;
+    EXPECT_THROW(spec.validate(), FatalError);
+    spec.k = kMaxSubwindows;
+    spec.subwindow_us = 0;
+    EXPECT_THROW(spec.validate(), FatalError);
+    spec.subwindow_us = 1;
+    EXPECT_NO_THROW(spec.validate());
 }
 
 TEST(WindowedCounter, AccumulatesWithinWindow)
@@ -93,13 +115,45 @@ TEST(WindowedCounter, StaleDetection)
     EXPECT_TRUE(c.stale(14, spec));
 }
 
-TEST(WindowedCounter, SaturatesAtUint16Max)
+TEST(WindowedCounter, SaturatesAtUint8Max)
 {
     const WindowSpec spec = WindowSpec::paperDefault();
     WindowedCounter c;
-    for (int i = 0; i < 70000; ++i)
+    for (int i = 0; i < 1000; ++i)
         c.record(0, spec);
-    EXPECT_EQ(c.total(0, spec), 65535u);
+    EXPECT_EQ(c.total(0, spec), 255u);
+    // Each subwindow saturates on its own; the total is their sum.
+    for (int i = 0; i < 1000; ++i)
+        c.record(1, spec);
+    EXPECT_EQ(c.total(1, spec), 510u);
+}
+
+TEST(WindowedCounter, IsEightBytes)
+{
+    EXPECT_EQ(sizeof(WindowedCounter), 8u);
+}
+
+TEST(WindowedCounter, SubwindowBeyondThe32BitTagIsFatal)
+{
+    const WindowSpec spec = WindowSpec::paperDefault();
+    const uint64_t last_tag = UINT32_MAX;
+    WindowedCounter c;
+    EXPECT_EQ(c.record(last_tag, spec), 1u);
+    EXPECT_EQ(c.total(last_tag, spec), 1u);
+    // Reading past the tag is plain 64-bit arithmetic: the counter is
+    // stale there, never wrapped back to live.
+    EXPECT_TRUE(c.stale(last_tag + spec.k, spec));
+    EXPECT_EQ(c.total(last_tag + spec.k, spec), 0u);
+    try {
+        c.record(last_tag + 1, spec);
+        FAIL() << "a subwindow past UINT32_MAX must be fatal";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("4294967296"),
+                  std::string::npos)
+            << "the error names the index: " << e.what();
+    }
+    WindowedCounter fresh;
+    EXPECT_THROW(fresh.touch(last_tag + 1, spec), FatalError);
 }
 
 TEST(WindowedCounter, OutOfOrderTimestampsDoNotRegress)
@@ -153,6 +207,76 @@ TEST_P(WindowedCounterProperty, MatchesBruteForceReference)
 }
 
 INSTANTIATE_TEST_SUITE_P(KSweep, WindowedCounterProperty,
-                         ::testing::Values(1u, 2u, 3u, 4u, 8u));
+                         ::testing::Values(1u, 2u, 3u, 4u));
+
+/**
+ * Differential: the 8-byte counter against the wide 16-bit / 64-bit
+ * layout it replaced (tests/reference_windowed_counter.hpp). Streams
+ * mix bursts of more than UINT8_MAX misses in one subwindow, gaps of k
+ * or more subwindows, small steps and late (out-of-order) misses. At
+ * every step `total >= t` must agree for every threshold t the sieve
+ * accepts (t <= kMaxThresholdSum), which is min(total, 255) agreeing.
+ */
+class WindowedCounterDifferential
+    : public ::testing::TestWithParam<uint32_t>
+{
+};
+
+TEST_P(WindowedCounterDifferential, DecidesLikeTheWideCounter)
+{
+    WindowSpec spec;
+    spec.k = GetParam();
+    spec.subwindow_us = 1000;
+    const auto capped = [](uint32_t total) {
+        return std::min<uint32_t>(total, kMaxThresholdSum);
+    };
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        Rng rng(seed * 7919 + spec.k);
+        WindowedCounter c;
+        ReferenceWindowedCounter wide;
+        uint64_t sub = 0;
+        uint32_t saturated_steps = 0;
+        for (int step = 0; step < 4000; ++step) {
+            const uint64_t roll = rng.nextBelow(100);
+            uint64_t at = sub;
+            uint32_t misses = 1;
+            if (roll < 5) {
+                sub += spec.k + rng.nextBelow(3 * spec.k); // gap >= k
+                at = sub;
+            } else if (roll < 15) {
+                misses = 256 + static_cast<uint32_t>(rng.nextBelow(300));
+            } else if (roll < 45) {
+                sub += 1 + rng.nextBelow(spec.k);
+                at = sub;
+            } else if (roll < 50 && sub > 0) {
+                at = sub - 1 - rng.nextBelow(std::min<uint64_t>(sub, 3));
+            }
+            for (uint32_t m = 0; m < misses; ++m) {
+                const uint32_t got = c.record(at, spec);
+                const uint32_t expect = wide.record(at, spec);
+                ASSERT_EQ(capped(got), capped(expect))
+                    << "seed " << seed << " step " << step << " sub "
+                    << at;
+                saturated_steps += expect >= kMaxThresholdSum;
+            }
+            for (uint64_t ahead = 0; ahead <= spec.k; ++ahead) {
+                ASSERT_EQ(capped(c.total(sub + ahead, spec)),
+                          capped(wide.total(sub + ahead, spec)))
+                    << "seed " << seed << " step " << step;
+                ASSERT_EQ(c.stale(sub + ahead, spec),
+                          wide.stale(sub + ahead, spec));
+            }
+            if (rng.nextBelow(50) == 0) {
+                c.touch(sub, spec);
+                wide.touch(sub, spec);
+            }
+        }
+        // The stream must actually drive tallies into saturation.
+        EXPECT_GT(saturated_steps, 0u) << "seed " << seed;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(KSweep, WindowedCounterDifferential,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 } // namespace
