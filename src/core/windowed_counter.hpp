@@ -104,10 +104,13 @@ class WindowedCounter
     record(uint64_t cur_sub, const WindowSpec &spec)
     {
         advance(cur_sub, spec);
-        auto &slot = counts[cur_sub % spec.k];
+        // advance() leaves cur_sub <= last_sub <= UINT32_MAX.
+        auto &slot = counts[slotOf(static_cast<uint32_t>(cur_sub), spec.k)];
         if (slot < UINT8_MAX)
             ++slot;
-        return total(cur_sub, spec);
+        // At or before last_sub every kept subwindow is live and every
+        // other slot is zero, so the total is the sum of all slots.
+        return liveSum();
     }
 
     /** Windowed total as of `cur_sub` (expiry-aware, no mutation). */
@@ -115,14 +118,16 @@ class WindowedCounter
     total(uint64_t cur_sub, const WindowSpec &spec) const
     {
         const uint64_t last = last_sub;
+        if (cur_sub <= last)
+            return liveSum();
         if (cur_sub >= last + spec.k)
             return 0;
         uint32_t sum = 0;
         // Only subwindows in (cur_sub - k, last_sub] are live.
         for (uint32_t i = 0; i < spec.k; ++i) {
-            const uint64_t sub = last - i;
-            if (sub + spec.k > cur_sub)
-                sum += counts[sub % spec.k];
+            const uint32_t sub = last_sub - i;
+            if (uint64_t{sub} + spec.k > cur_sub)
+                sum += counts[slotOf(sub, spec.k)];
             if (sub == 0)
                 break;
         }
@@ -183,6 +188,24 @@ class WindowedCounter
     }
 
   private:
+    /** Ring slot of subwindow `sub`: a mask for k = 1, 2, 4 (the
+     * division it spares dominates a miss), a remainder for k = 3. */
+    static uint32_t
+    slotOf(uint32_t sub, uint32_t k)
+    {
+        return (k & (k - 1)) == 0 ? sub & (k - 1) : sub % k;
+    }
+
+    /** Sum of every slot; slots at or beyond k are always zero. */
+    uint32_t
+    liveSum() const
+    {
+        uint32_t sum = 0;
+        for (const uint8_t c : counts)
+            sum += c;
+        return sum;
+    }
+
     void
     advance(uint64_t cur_sub, const WindowSpec &spec)
     {
@@ -198,13 +221,14 @@ class WindowedCounter
                         "32-bit subwindow tag (max %u)",
                         static_cast<unsigned long long>(cur_sub),
                         UINT32_MAX);
+        const auto cur = static_cast<uint32_t>(cur_sub);
         if (cur_sub >= last + spec.k) {
             counts.fill(0);
         } else {
-            for (uint64_t s = last + 1; s <= cur_sub; ++s)
-                counts[s % spec.k] = 0;
+            for (uint32_t s = last_sub; s != cur;)
+                counts[slotOf(++s, spec.k)] = 0;
         }
-        last_sub = static_cast<uint32_t>(cur_sub);
+        last_sub = cur;
     }
 
     std::array<uint8_t, kMaxSubwindows> counts{};
