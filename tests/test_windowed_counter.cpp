@@ -128,11 +128,6 @@ TEST(WindowedCounter, SaturatesAtUint8Max)
     EXPECT_EQ(c.total(1, spec), 510u);
 }
 
-TEST(WindowedCounter, IsEightBytes)
-{
-    EXPECT_EQ(sizeof(WindowedCounter), 8u);
-}
-
 TEST(WindowedCounter, SubwindowBeyondThe32BitTagIsFatal)
 {
     const WindowSpec spec = WindowSpec::paperDefault();
