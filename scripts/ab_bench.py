@@ -62,8 +62,11 @@ def export_rev(root, rev, dest):
     archive = os.path.join(os.path.dirname(dest), "export.tar")
     subprocess.run(["git", "archive", "--format=tar", "-o", archive, rev],
                    cwd=root, check=True)
+    # The "data" filter (Python 3.11.4+) keeps the archive's members
+    # inside `dest`; older interpreters extract as before.
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(archive) as tar:
-        tar.extractall(dest)
+        tar.extractall(dest, **safe)
     os.remove(archive)
 
 
