@@ -8,7 +8,8 @@
  * generator, so the example is self-contained), then replays them the
  * way you would replay the real thing:
  *
- *   MsrCsvReader per file -> MergedTrace -> SieveStore appliance.
+ *   MsrCsvReader per file (one shared origin, trace::openMsrEnsemble)
+ *   -> MergedTrace -> SieveStore appliance.
  *
  * With the real traces on disk, point `--dir` at them and every
  * experiment in this repository runs on them unmodified.
@@ -16,10 +17,12 @@
  *   $ ./trace_replay [--dir /path/to/msr/csvs]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/appliance.hpp"
@@ -83,23 +86,21 @@ main(int argc, char **argv)
         fabricated = true;
     }
 
-    // One reader per CSV, merged into a single time-ordered stream.
-    std::vector<std::unique_ptr<trace::TraceReader>> readers;
-    uint64_t files = 0;
+    // One reader per CSV on a shared origin, merged into a single
+    // time-ordered stream.
+    std::vector<std::string> paths;
     for (const auto &entry : fs::directory_iterator(dir)) {
-        if (entry.path().extension() != ".csv")
-            continue;
-        readers.push_back(std::make_unique<trace::MsrCsvReader>(
-            entry.path().string(), ensemble));
-        ++files;
+        if (entry.path().extension() == ".csv")
+            paths.push_back(entry.path().string());
     }
-    if (readers.empty()) {
+    if (paths.empty()) {
         std::fprintf(stderr, "no .csv files in %s\n", dir.c_str());
         return 1;
     }
-    std::printf("replaying %llu trace files...\n",
-                static_cast<unsigned long long>(files));
-    trace::MergedTrace merged(std::move(readers));
+    std::sort(paths.begin(), paths.end()); // fixes the merge tie order
+    std::printf("replaying %zu trace files...\n", paths.size());
+    const std::unique_ptr<trace::MergedTrace> merged =
+        trace::openMsrEnsemble(paths, ensemble);
 
     // A SieveStore-C appliance sized for the sample volume.
     core::ApplianceConfig config;
@@ -110,7 +111,7 @@ main(int argc, char **argv)
     core::Appliance appliance(
         config, std::make_unique<core::SieveStoreCPolicy>(sieve));
 
-    sim::runTrace(merged, appliance);
+    sim::runTrace(*merged, appliance);
 
     const auto totals = appliance.totals();
     std::printf("\nreplayed %llu block accesses across %zu days\n",

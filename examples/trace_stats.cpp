@@ -40,14 +40,10 @@ main(int argc, char **argv)
     std::unique_ptr<trace::TraceReader> reader;
     const auto ensemble = trace::EnsembleConfig::paperEnsemble();
     if (std::strcmp(argv[1], "--msr") == 0) {
-        std::vector<std::unique_ptr<trace::TraceReader>> sources;
-        for (int i = 2; i < argc; ++i)
-            sources.push_back(std::make_unique<trace::MsrCsvReader>(
-                argv[i], ensemble));
-        if (sources.empty())
+        const std::vector<std::string> paths(argv + 2, argv + argc);
+        if (paths.empty())
             util::fatal("--msr requires at least one CSV file");
-        reader = std::make_unique<trace::MergedTrace>(
-            std::move(sources));
+        reader = trace::openMsrEnsemble(paths, ensemble);
     } else {
         reader = std::make_unique<trace::BinaryTraceReader>(argv[1]);
     }

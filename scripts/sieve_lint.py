@@ -83,6 +83,7 @@ RULES = ("mem-charge", "ghost-charge", "invariants",
 # checkInvariants() hook (any signature).
 AUDIT_CLASSES = (
     "AccessCounter",
+    "AllocQueue",
     "Appliance",
     "BlockCache",
     "FileBackend",

@@ -66,6 +66,16 @@ BlockCache::touchProbed(PolicyState &st)
 std::optional<BlockId>
 BlockCache::insert(BlockId block)
 {
+    const Admission admitted = admit(block);
+    if (!admitted.inserted)
+        util::panic("BlockCache: insert of resident block %llx",
+                    static_cast<unsigned long long>(block));
+    return admitted.victim;
+}
+
+Admission
+BlockCache::admit(BlockId block)
+{
     // Steady state (cache full) recycles: the victim's index slot and
     // arena node are released before the insert reuses them, and the
     // pre-reserved table never rehashes. Warmup below capacity may
@@ -78,24 +88,22 @@ BlockCache::insert(BlockId block)
     std::optional<util::AllocGuardDisarm> warmup_growth;
     if (!steady)
         warmup_growth.emplace(); // sieve-analyze: allow(no-alloc)
-    std::optional<BlockId> evicted;
+    Admission result;
     if (steady) {
-        // Pre-check the contract here: below capacity findOrInsert
-        // detects duplicates for free, but at capacity the victim
-        // could be the duplicate itself and mask the misuse.
+        // Resolve residency before evicting: at capacity the victim
+        // could be the block itself.
         if (index.contains(block))
-            util::panic("BlockCache: insert of resident block %llx",
-                        static_cast<unsigned long long>(block));
+            return result;
         const BlockId v = victim();
         eraseResident(v);
-        evicted = v;
+        result.victim = v;
     }
     const auto [st, inserted] = index.findOrInsert(block);
     if (!inserted)
-        util::panic("BlockCache: insert of resident block %llx",
-                    static_cast<unsigned long long>(block));
+        return result; // resident, below capacity
     st->node = order.pushFront(block);
-    return evicted;
+    result.inserted = true;
+    return result;
 }
 
 bool

@@ -54,6 +54,15 @@ struct BatchReplaceResult
     uint64_t evicted = 0;
 };
 
+/** Result of BlockCache::admit. */
+struct Admission
+{
+    /** False when the block was already resident (nothing changed). */
+    bool inserted = false;
+    /** The block evicted to make room, if any. */
+    std::optional<trace::BlockId> victim;
+};
+
 /**
  * Per-resident-block state, stored inline in the block index slot:
  * the block's node in the recency arena.
@@ -106,6 +115,13 @@ class BlockCache
      */
     SIEVE_TAINT_SINK std::optional<trace::BlockId>
     insert(trace::BlockId block);
+
+    /**
+     * Insert unless resident: one residency probe, then (at capacity)
+     * the victim's erase and the find-or-insert. A resident block is
+     * left untouched (its recency does not move).
+     */
+    SIEVE_TAINT_SINK Admission admit(trace::BlockId block);
 
     /** Remove a block. @retval true if it was resident. */
     bool erase(trace::BlockId block);

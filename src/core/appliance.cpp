@@ -13,13 +13,6 @@ namespace core {
 
 using trace::BlockId;
 
-namespace {
-
-/** Initial capacity of the in-flight allocation structures. */
-constexpr size_t kPendingReserve = 1024;
-
-} // namespace
-
 void
 DailyReport::add(const DailyReport &other)
 {
@@ -63,8 +56,6 @@ Appliance::Appliance(ApplianceConfig config,
     if (cfg.track_occupancy)
         occupancy_ =
             std::make_unique<ssd::DriveOccupancyTracker>(cfg.ssd);
-    alloc_queue.reserve(kPendingReserve);
-    pending.reserve(kPendingReserve);
     backend_ = storage::makeBackend(cfg.backend, cfg.ssd,
                                     cfg.cache_blocks);
 }
@@ -89,47 +80,14 @@ Appliance::flatEnginesOnly() const
 }
 
 void
-Appliance::pushAlloc(const PendingAlloc &ev)
-{
-    if (alloc_queue.size() == alloc_queue.capacity()) {
-        // Amortized heap growth is the one legitimate allocation
-        // here; exempt it so the batch-level no-alloc region stays
-        // armed across it.
-        util::AllocGuardDisarm growth;
-        alloc_queue.reserve(
-            std::max<size_t>(kPendingReserve, alloc_queue.capacity() * 2));
-    }
-    alloc_queue.push_back(ev);
-    std::push_heap(alloc_queue.begin(), alloc_queue.end(),
-                   std::greater<PendingAlloc>());
-}
-
-void
-Appliance::notePending(BlockId block)
-{
-    if (!pending.hasCapacityFor(1)) {
-        util::AllocGuardDisarm growth; // amortized table growth
-        pending.reserve(std::max<size_t>(kPendingReserve,
-                                         pending.size() * 2));
-    }
-    pending.findOrInsert(block);
-}
-
-void
 Appliance::drainAllocations(util::TimeUs up_to)
 {
-    while (!alloc_queue.empty() &&
-           alloc_queue.front().completion <= up_to) {
-        const PendingAlloc ev = alloc_queue.front();
-        std::pop_heap(alloc_queue.begin(), alloc_queue.end(),
-                      std::greater<PendingAlloc>());
-        alloc_queue.pop_back();
-        pending.erase(ev.block);
-        if (cache_.contains(ev.block))
-            continue; // raced with a batch install
-        const std::optional<BlockId> victim = cache_.insert(ev.block);
-        if (victim)
-            stageTrim(ev.completion, *victim);
+    alloc_queue.drain(up_to, [this](const PendingAlloc &ev) {
+        const cache::Admission admitted = cache_.admit(ev.block);
+        if (!admitted.inserted)
+            return; // raced with a batch install
+        if (admitted.victim)
+            stageTrim(ev.completion, *admitted.victim);
         DailyReport &rep = reportFor(ev.completion);
         ++rep.allocation_write_blocks;
         if (ev.new_io_unit) {
@@ -138,7 +96,7 @@ Appliance::drainAllocations(util::TimeUs up_to)
             if (occupancy_)
                 occupancy_->recordWrites(ev.completion, 1);
         }
-    }
+    });
 }
 
 void
@@ -323,20 +281,19 @@ Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
                           std::span<cache::PolicyState *>(st, n));
 
         // Phase 2 — sieve prefetch: every gathered miss is about to
-        // consult the pending set and the sieve tiers; start their
+        // consult the in-flight set and the sieve tiers; start their
         // lines (pending home slot, IMCT slot, MCT home slot, epoch
         // counter slot) toward L1 before the in-order pass issues its
         // dependent loads, and let the policy pull what its onHit
-        // will touch. An empty pending set (always, for an
-        // epoch-batched policy) has no line worth pulling.
-        const bool any_pending = !pending.empty();
+        // will touch. The queue skips its prefetch while nothing is
+        // pending (always on the run path and for an epoch-batched
+        // policy).
         for (uint32_t i = 0; i < n; ++i) {
             if (st[i] != nullptr) {
                 policy_->prefetchHit(keys[i]);
                 continue;
             }
-            if (any_pending)
-                pending.prefetch(keys[i]);
+            alloc_queue.prefetch(keys[i]);
             policy_->prefetchMiss(keys[i]);
         }
 
@@ -382,16 +339,15 @@ Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
             }
 
             // Miss: the policy sieves it (an epoch-batched policy
-            // counts it and bypasses). The pending probe runs only
-            // while an allocation is in flight; the set can fill
-            // mid-request, so the emptiness check is per block.
-            if (!pending.empty() && pending.contains(block))
-                continue; // allocation already in flight
+            // counts it and bypasses) unless its allocation is already
+            // in flight.
+            if (alloc_queue.inFlight(block))
+                continue;
             if (policy_->onMiss(access) == AllocDecision::Allocate) {
-                notePending(block);
                 const bool new_unit = page != last_alloc_page;
                 last_alloc_page = page;
-                pushAlloc(PendingAlloc{access.completion, block, new_unit});
+                alloc_queue.push(
+                    PendingAlloc{access.completion, block, new_unit});
             }
         }
     }
@@ -419,7 +375,7 @@ Appliance::processBatch(std::span<const trace::Request> batch)
                  "processBatch: batch straddles a calendar-day boundary");
     // The flat hot path is claimed allocation-free per batch; the only
     // exemptions are the explicit amortized-growth points (sieve
-    // tables, the pending set, the allocation heap).
+    // tables, the allocation queue's run, heap and pending set).
     SIEVE_ASSERT_NO_ALLOC_WHEN(flatEnginesOnly());
     // Allocations drain between requests, never inside one: a drain
     // can insert into the cache, which would invalidate the pointers
@@ -535,15 +491,7 @@ Appliance::checkInvariants() const
 {
     cache_.checkInvariants();
 
-    // Every in-flight allocation is tracked in both structures, and
-    // the pending guard keeps the queue duplicate-free.
-    SIEVE_CHECK(pending.size() == alloc_queue.size(),
-                "%zu pending blocks vs %zu queued allocations",
-                pending.size(), alloc_queue.size());
-    SIEVE_CHECK(std::is_heap(alloc_queue.begin(), alloc_queue.end(),
-                             std::greater<PendingAlloc>()),
-                "allocation queue lost its heap ordering");
-    pending.checkInvariants();
+    alloc_queue.checkInvariants();
 
     for (const DailyReport &rep : reports) {
         SIEVE_CHECK(rep.hits <= rep.accesses,

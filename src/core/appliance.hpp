@@ -37,10 +37,10 @@
 
 #include "cache/block_cache.hpp"
 #include "core/alloc_policy.hpp"
+#include "core/alloc_queue.hpp"
 #include "ssd/occupancy.hpp"
 #include "storage/backend.hpp"
 #include "trace/request.hpp"
-#include "util/flat_index.hpp"
 #include "util/flow_annotations.hpp"
 
 namespace sievestore {
@@ -235,9 +235,9 @@ class Appliance
 
     /**
      * Audit appliance-level accounting: the cache's index and recency
-     * order agree on residency, every in-flight allocation appears in both the
-     * queue and the pending set, per-day reports are internally
-     * consistent (hits never exceed accesses, read + write hits equal
+     * order agree on residency, the allocation queue's run, heap and
+     * pending set agree (AllocQueue::checkInvariants), per-day
+     * reports are internally consistent (hits never exceed accesses, read + write hits equal
      * total hits), and the sieve's own invariants hold. O(cache size);
      * aborts on violation. The sim drivers call this at day boundaries
      * when invariant auditing is enabled (see sim::DriverOptions).
@@ -252,8 +252,8 @@ class Appliance
      * Every engine combination runs the same three phases over each
      * chunk of <= cache::BlockCache::kProbeBatch blocks: probe-gather
      * (one BlockCache::probeBatch resolves the chunk's residency),
-     * sieve-prefetch (pending-set lines while an allocation is in
-     * flight, plus AllocationPolicy::prefetchMiss for the gathered
+     * sieve-prefetch (the allocation queue's in-flight probe lines,
+     * plus AllocationPolicy::prefetchMiss for the gathered
      * misses and prefetchHit for the gathered hits), then an in-order
      * decide pass that applies the hit transitions, consults the
      * policy and charges the SSD. Nothing mutates the cache index
@@ -301,37 +301,20 @@ class Appliance
     cache::BlockCache cache_;
     std::unique_ptr<ssd::DriveOccupancyTracker> occupancy_;
 
-    /** Pending allocation, applied at block completion time. */
-    struct PendingAlloc
-    {
-        util::TimeUs completion;
-        trace::BlockId block;
-        bool new_io_unit; ///< first block of its 4 KB unit in the request
-
-        bool
-        operator>(const PendingAlloc &o) const
-        {
-            return completion > o.completion;
-        }
-    };
-    /** Schedule an allocation (min-heap push with growth exemption). */
-    void pushAlloc(const PendingAlloc &ev);
-    /** Track `block` as in flight (set insert with growth exemption). */
-    void notePending(trace::BlockId block);
-
     /**
-     * Min-heap on completion time, kept as a raw vector driven by
-     * std::push_heap/pop_heap with the same std::greater comparator a
-     * std::priority_queue would use — the standard specifies
-     * priority_queue in terms of exactly these algorithms, so the
-     * element order (including equal-completion ties, which feed LRU
-     * recency) is bit-identical to the former priority_queue member.
-     * A raw vector exposes capacity, letting the batch-level no-alloc
-     * regions exempt only genuine growth.
+     * Allocations waiting for their request's completion time. The
+     * common path is a per-request run: a request that starts with
+     * nothing in flight appends its allocations to a FIFO vector, and
+     * the next drain commits them in order, with no heap and no
+     * pending set. Its completions strictly increase and its blocks
+     * are distinct, so that order is the heap's pop order. A tie
+     * (latency_us < length_blocks) or a request starting while run
+     * entries are in flight spills the run into the min-heap by
+     * replaying its exact pushes and pops, so the heap array — and
+     * every equal-completion tie, which feeds LRU recency — stays
+     * bit-identical to a heap-only queue's. See core/alloc_queue.hpp.
      */
-    std::vector<PendingAlloc> alloc_queue;
-    /** In-flight allocation guard set (payload unused). */
-    util::FlatIndex<uint8_t> pending;
+    AllocQueue alloc_queue;
 
     /** Epoch cursor: last day closed by finishDay(). */
     int last_finished_day = INT_MIN;

@@ -1,5 +1,7 @@
 #include "trace/msr_csv.hpp"
 
+#include <algorithm>
+
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
 
@@ -124,6 +126,36 @@ MsrCsvReader::reset()
     if (!in)
         util::fatal("cannot rewind MSR trace file '%s'", path.c_str());
     skipped_records = 0;
+}
+
+void
+MsrCsvReader::rebase(uint64_t origin_ticks)
+{
+    reset();
+    origin = origin_ticks;
+    origin_fixed = true;
+}
+
+std::unique_ptr<MergedTrace>
+openMsrEnsemble(const std::vector<std::string> &paths,
+                const EnsembleConfig &ensemble)
+{
+    // Each reader detects its own midnight from its first record; the
+    // earliest of them is the ensemble's.
+    std::vector<std::unique_ptr<MsrCsvReader>> readers;
+    uint64_t origin = UINT64_MAX;
+    for (const std::string &path : paths) {
+        readers.push_back(std::make_unique<MsrCsvReader>(path, ensemble));
+        Request first;
+        if (readers.back()->next(first))
+            origin = std::min(origin, readers.back()->originTicks());
+    }
+    std::vector<std::unique_ptr<TraceReader>> sources;
+    for (auto &reader : readers) {
+        reader->rebase(origin == UINT64_MAX ? 0 : origin);
+        sources.push_back(std::move(reader));
+    }
+    return std::make_unique<MergedTrace>(std::move(sources));
 }
 
 MsrCsvWriter::MsrCsvWriter(const std::string &path,

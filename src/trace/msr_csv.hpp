@@ -13,7 +13,8 @@
  * bytes. This reader maps records onto an EnsembleConfig, converts times
  * to microseconds relative to the calendar midnight preceding the first
  * record (the paper analyzes by calendar day, so a 5pm trace start lands
- * inside day 0), and converts byte extents to 512-byte block extents.
+ * inside day 0; openMsrEnsemble takes the first record across all
+ * files), and converts byte extents to 512-byte block extents.
  *
  * With the real MSR traces on disk, every experiment in this repository
  * runs on them unmodified; without them, the synthetic generator stands
@@ -25,11 +26,13 @@
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "trace/ensemble.hpp"
+#include "trace/merge.hpp"
 #include "trace/trace_reader.hpp"
 
 namespace sievestore {
@@ -46,7 +49,7 @@ constexpr uint64_t kTicksPerDay = 24ULL * 3600 * 1000 * 1000 * kTicksPerUs;
  * Records whose hostname is not present in the ensemble are skipped with
  * a (once-per-host) warning; malformed lines are fatal. Requests within
  * one MSR file are time-ordered; merging multiple per-server files is
- * done with MergedTrace (merge.hpp).
+ * done with openMsrEnsemble, which puts them on one time origin.
  */
 class MsrCsvReader : public TraceReader
 {
@@ -67,6 +70,9 @@ class MsrCsvReader : public TraceReader
     /** Origin actually used (after auto-detection). */
     uint64_t originTicks() const { return origin; }
 
+    /** Rewind and time every record from `origin_ticks` instead. */
+    void rebase(uint64_t origin_ticks);
+
     /** Number of records skipped for unknown host / unknown disk. */
     uint64_t skipped() const { return skipped_records; }
 
@@ -82,6 +88,17 @@ class MsrCsvReader : public TraceReader
     std::unordered_map<std::string, ServerId> host_map;
     std::vector<bool> warned_hosts;
 };
+
+/**
+ * Open per-volume MSR CSVs as one time-ordered ensemble trace. Every
+ * reader gets the same origin: the calendar midnight before the
+ * earliest first record across all files, so a volume whose trace
+ * starts on a later day keeps its day instead of being shifted onto
+ * day 0. Files with no record for the ensemble take the same origin.
+ */
+std::unique_ptr<MergedTrace>
+openMsrEnsemble(const std::vector<std::string> &paths,
+                const EnsembleConfig &ensemble);
 
 /**
  * Write requests in MSR CSV format (round-trip of MsrCsvReader). Used by

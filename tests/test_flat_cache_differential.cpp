@@ -2,7 +2,8 @@
  * @file
  * Differential proof that the flat block-index LRU cache makes the
  * same decisions as a node-based LRU model (tests/reference_lru.hpp),
- * and appliance-level pins of the request loop's totals.
+ * and appliance-level pins of the request loop's totals and of the
+ * allocation queue's pop order.
  *
  * The cache-level claim is *bit-identical decisions*: the same victim
  * on every insert, in plain LRU and in the Section 3.1 protected-set
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <span>
 #include <string>
@@ -29,7 +31,10 @@
 #include "core/unsieved.hpp"
 #include "reference_lru.hpp"
 #include "sim/driver.hpp"
+#include "storage/backend.hpp"
+#include "util/hashing.hpp"
 #include "util/random.hpp"
+#include "util/sim_time.hpp"
 
 namespace {
 
@@ -57,8 +62,9 @@ expectSameContents(const BlockCache &flat, const ReferenceLru &model,
  * Drive the flat cache and the model with an identical random stream
  * and require identical observable behavior after every operation:
  * hit results, eviction victims, batch accounting, residency and
- * size. The ops are access (insert on miss, the appliance hot path),
- * erase, a probe-gather burst (probeBatch over up to kProbeBatch keys,
+ * size. The ops are access (insert on miss), admit (insert unless
+ * resident — the allocation drain's one-probe commit, resident blocks
+ * included), erase, a probe-gather burst (probeBatch over up to kProbeBatch keys,
  * duplicates included, then touchProbed on the hits in order — the
  * appliance request loop's shape), batchReplace, and setProtected
  * (empty sets included, so the stream moves in and out of oracle
@@ -134,6 +140,20 @@ differentialOpStream(uint64_t capacity, uint64_t key_space, uint64_t seed,
             }
             flat.setProtected(set);
             model.setProtected({set.begin(), set.end()});
+            break;
+          }
+          case 6:
+          case 7: { // admit: insert unless resident, recency untouched
+            const bool resident = model.contains(b);
+            const Admission a = flat.admit(b);
+            ASSERT_EQ(a.inserted, !resident)
+                << label << " admit(" << b << ") op " << op;
+            if (resident)
+                ASSERT_FALSE(a.victim.has_value())
+                    << label << " admit(" << b << ") op " << op;
+            else
+                ASSERT_EQ(a.victim, model.insert(b))
+                    << label << " victim for admit(" << b << ") op " << op;
             break;
           }
           default: { // access, insert on miss
@@ -336,6 +356,214 @@ TEST(BatchKernelDifferential, ProcessBatchMatchesPinnedTotals)
         base_app.checkInvariants();
     }
     util::setBatchSimd(prior_simd);
+}
+
+// ---- allocation-queue order pin ------------------------------------
+
+/**
+ * AOD stress trace for the allocation queue. Per day: a dozen bursts
+ * of requests 0-400 us apart with latencies up to 60 ms (dense
+ * overlap), a quarter of them at latency 0 and a quarter below their
+ * block count (tied completions), up to 150 blocks long (crossing the
+ * 64-block probe chunk), plus one burst 30 ms before midnight whose
+ * allocations are still in flight when the day closes.
+ */
+std::vector<trace::Request>
+queueStressTrace(uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<trace::Request> reqs;
+    constexpr int kDays = 4;
+    for (int day = 0; day < kDays; ++day) {
+        const util::TimeUs day0 =
+            static_cast<util::TimeUs>(day) * util::kUsPerDay;
+        std::vector<util::TimeUs> starts;
+        for (int b = 0; b < 12; ++b)
+            starts.push_back(day0 + rng.nextBelow(util::kUsPerDay -
+                                                  util::kUsPerHour));
+        starts.push_back(day0 + util::kUsPerDay - 30000);
+        for (const util::TimeUs start : starts) {
+            util::TimeUs t = start;
+            const uint64_t n = 20 + rng.nextBelow(40);
+            for (uint64_t k = 0; k < n; ++k) {
+                t += rng.nextBelow(3) == 0 ? 0 : rng.nextBelow(400);
+                trace::Request r;
+                r.time = t;
+                r.volume = static_cast<trace::VolumeId>(rng.nextBelow(2));
+                r.server = static_cast<trace::ServerId>(r.volume);
+                r.op = rng.nextBool(0.6) ? trace::Op::Read
+                                         : trace::Op::Write;
+                r.offset_blocks = rng.nextBelow(2048);
+                r.length_blocks =
+                    1 + static_cast<uint32_t>(rng.nextBelow(150));
+                switch (rng.nextBelow(4)) {
+                  case 0:
+                    r.latency_us = 0;
+                    break;
+                  case 1:
+                    r.latency_us = static_cast<uint32_t>(
+                        rng.nextBelow(r.length_blocks));
+                    break;
+                  default:
+                    r.latency_us =
+                        static_cast<uint32_t>(rng.nextBelow(60000));
+                    break;
+                }
+                reqs.push_back(r);
+            }
+        }
+    }
+    std::stable_sort(reqs.begin(), reqs.end(), trace::requestTimeLess);
+    return reqs;
+}
+
+/**
+ * Storage observer that folds every trim — one per eviction, carrying
+ * the evicting allocation's completion and the victim's page — into a
+ * running hash, so the victim sequence can be pinned without
+ * allocating inside the armed request path.
+ */
+class TrimRecorder : public storage::Backend
+{
+  public:
+    struct Log
+    {
+        uint64_t trims = 0;
+        uint64_t hash = 0;
+    };
+
+    explicit TrimRecorder(Log *log) : log_(log) {}
+
+    const char *name() const override { return "trim-recorder"; }
+
+    void
+    readBlocks(std::span<const storage::StorageOp> ops,
+               std::span<uint32_t> lat_ns) override
+    {
+        for (size_t i = 0; i < ops.size(); ++i) {
+            lat_ns[i] = 0;
+            noteRead(0);
+        }
+    }
+
+    void
+    writeBlocks(std::span<const storage::StorageOp> ops,
+                std::span<uint32_t> lat_ns) override
+    {
+        for (size_t i = 0; i < ops.size(); ++i) {
+            lat_ns[i] = 0;
+            noteWrite(0);
+        }
+    }
+
+    void
+    trimBlocks(std::span<const storage::StorageOp> ops) override
+    {
+        for (const storage::StorageOp &op : ops) {
+            log_->hash = util::mix64(log_->hash ^ op.time);
+            log_->hash = util::mix64(log_->hash ^ op.page);
+            ++log_->trims;
+        }
+        Backend::trimBlocks(ops);
+    }
+
+  private:
+    Log *log_;
+};
+
+/** Order-independent hash of the resident set. */
+uint64_t
+contentsHash(const BlockCache &cache)
+{
+    auto blocks = cache.contents();
+    std::sort(blocks.begin(), blocks.end());
+    uint64_t h = 0;
+    for (const BlockId b : blocks)
+        h = util::mix64(h ^ b);
+    return h;
+}
+
+/** Print a replay's pins in this file's source form. */
+void
+printPins(const std::vector<DailyReport> &days,
+          const TrimRecorder::Log &log, uint64_t contents)
+{
+    for (const DailyReport &d : days)
+        std::printf("    pinnedTotals(%llu, %llu, %llu, %llu, %llu, %llu, "
+                    "%llu, %llu, %llu),\n",
+                    static_cast<unsigned long long>(d.accesses),
+                    static_cast<unsigned long long>(d.read_accesses),
+                    static_cast<unsigned long long>(d.hits),
+                    static_cast<unsigned long long>(d.read_hits),
+                    static_cast<unsigned long long>(d.write_hits),
+                    static_cast<unsigned long long>(
+                        d.allocation_write_blocks),
+                    static_cast<unsigned long long>(d.ssd_read_ios),
+                    static_cast<unsigned long long>(d.ssd_write_ios),
+                    static_cast<unsigned long long>(d.ssd_alloc_ios));
+    std::printf("    trims %llu, trim hash 0x%016llx, contents hash "
+                "0x%016llx\n",
+                static_cast<unsigned long long>(log.trims),
+                static_cast<unsigned long long>(log.hash),
+                static_cast<unsigned long long>(contents));
+}
+
+/**
+ * queueStressTrace(808) through AOD on a 512-block cache: per-day
+ * reports, eviction count, victim-sequence hash and final resident
+ * set, as the per-block allocation heap (one push_heap per allocated
+ * block, equal-completion ties in heap-array order) produced them.
+ */
+const DailyReport kQueueStressDays[] = {
+    pinnedTotals(36499, 21187, 4783, 3019, 1764, 26927, 475, 295, 3769),
+    pinnedTotals(44598, 26962, 5651, 3170, 2481, 32215, 523, 395, 4547),
+    pinnedTotals(35747, 22017, 3977, 2709, 1268, 27687, 436, 207, 3879),
+    pinnedTotals(43486, 25787, 6147, 3482, 2665, 30484, 571, 420, 4341),
+    // Day 4 holds only the last midnight burst's late completions.
+    pinnedTotals(0, 0, 0, 0, 0, 277, 0, 0, 37),
+};
+constexpr uint64_t kQueueStressTrims = 117078;
+constexpr uint64_t kQueueStressTrimHash = 0xccf5df95003fa5b8;
+constexpr uint64_t kQueueStressContents = 0xd71932b1a02f681f;
+
+/**
+ * The allocation queue's order is model output: equal-completion ties
+ * set LRU recency, so a tie popped out of heap order moves later
+ * victims. Replay the stress trace at batch 1, 8 and 64 and require
+ * the pinned per-day reports, victim sequence and resident set.
+ */
+TEST(BatchKernelDifferential, AodQueueStressMatchesPinnedOrder)
+{
+    const auto reqs = queueStressTrace(808);
+    for (const size_t batch : {size_t{1}, size_t{8}, size_t{64}}) {
+        TrimRecorder::Log log;
+        core::ApplianceConfig cfg;
+        cfg.cache_blocks = 512;
+        cfg.track_occupancy = false; // the armed no-alloc configuration
+        cfg.backend.factory = [&log]() -> std::unique_ptr<storage::Backend> {
+            return std::make_unique<TrimRecorder>(&log);
+        };
+        core::Appliance app(cfg, std::make_unique<core::AodPolicy>());
+        trace::VectorTrace tr(reqs);
+        sim::DriverOptions options;
+        options.batch = batch;
+        sim::runTrace(tr, app, options);
+        app.checkInvariants();
+
+        const std::string label = "batch " + std::to_string(batch);
+        const auto &days = app.daily();
+        const uint64_t contents = contentsHash(app.blockCache());
+        EXPECT_EQ(days.size(), std::size(kQueueStressDays)) << label;
+        for (size_t d = 0;
+             d < std::min(days.size(), std::size(kQueueStressDays)); ++d)
+            expectReportEq(days[d], kQueueStressDays[d],
+                           label + " day " + std::to_string(d));
+        EXPECT_EQ(log.trims, kQueueStressTrims) << label;
+        EXPECT_EQ(log.hash, kQueueStressTrimHash) << label;
+        EXPECT_EQ(contents, kQueueStressContents) << label;
+        if (::testing::Test::HasFailure())
+            printPins(days, log, contents);
+    }
 }
 
 } // namespace

@@ -9,8 +9,12 @@
 #include <filesystem>
 #include <fstream>
 
+#include "core/appliance.hpp"
+#include "core/unsieved.hpp"
+#include "sim/driver.hpp"
 #include "trace/msr_csv.hpp"
 #include "util/logging.hpp"
+#include "util/sim_time.hpp"
 
 namespace {
 
@@ -218,6 +222,43 @@ TEST_F(MsrCsvTest, ResetRestartsStream)
     while (reader.next(r))
         ++count;
     EXPECT_EQ(count, 2);
+}
+
+TEST_F(MsrCsvTest, EnsembleSharesTheEarliestMidnight)
+{
+    // Two volumes whose traces start on consecutive days (01:00 on
+    // day 1 and on day 2 of the FILETIME epoch). Per-file origins
+    // would put both first records on day 0; the ensemble origin is
+    // day 1's midnight, so the replay spans two days.
+    const std::filesystem::path second =
+        std::filesystem::temp_directory_path() /
+        ("msr_test_" + std::to_string(::getpid()) + "_b.csv");
+    writeLines("900000000000,usr,0,Read,0,4096,10\n");
+    {
+        std::ofstream out(second);
+        out << "1764000000000,prxy,0,Write,0,4096,10\n";
+    }
+    const auto merged =
+        openMsrEnsemble({path.string(), second.string()}, ensemble);
+    Request r;
+    ASSERT_TRUE(merged->next(r));
+    EXPECT_EQ(r.time, sievestore::util::kUsPerHour);
+    ASSERT_TRUE(merged->next(r));
+    EXPECT_EQ(r.time, sievestore::util::kUsPerDay +
+                          sievestore::util::kUsPerHour);
+    EXPECT_FALSE(merged->next(r));
+
+    merged->reset();
+    sievestore::core::ApplianceConfig cfg;
+    cfg.cache_blocks = 64;
+    sievestore::core::Appliance app(
+        cfg, std::make_unique<sievestore::core::AodPolicy>());
+    sievestore::sim::runTrace(*merged, app);
+    EXPECT_EQ(app.daily().size(), 2u);
+    EXPECT_EQ(app.totals().accesses, 16u);
+
+    std::error_code ec;
+    std::filesystem::remove(second, ec);
 }
 
 } // namespace
