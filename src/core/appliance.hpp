@@ -237,10 +237,11 @@ class Appliance
      * Audit appliance-level accounting: the cache's index and recency
      * order agree on residency, the allocation queue's run, heap and
      * pending set agree (AllocQueue::checkInvariants), per-day
-     * reports are internally consistent (hits never exceed accesses, read + write hits equal
-     * total hits), and the sieve's own invariants hold. O(cache size);
-     * aborts on violation. The sim drivers call this at day boundaries
-     * when invariant auditing is enabled (see sim::DriverOptions).
+     * reports are internally consistent (hits never exceed accesses,
+     * read + write hits equal total hits), and the sieve's own
+     * invariants hold. O(cache size); aborts on violation. The sim
+     * drivers call this at day boundaries when invariant auditing is
+     * enabled (see sim::DriverOptions).
      */
     void checkInvariants() const;
 
